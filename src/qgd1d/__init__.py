@@ -28,7 +28,7 @@ from .experiments import (
     sweep_region,
 )
 from .gas import GasModel, IsentropicLaw, TabulatedLaw
-from .mesh import Boundary, GridOperators, Mesh, MeshState
+from .mesh import Boundary, Mesh, MeshState
 from .regularization import SchemeConfig, SchemeKind, Variant, regularization_params
 from .schemes import (
     Diagnostics,
@@ -37,7 +37,9 @@ from .schemes import (
     fluxes_enthalpy,
     fluxes_standard,
     make_stepper,
+    run_batch,
     run_simulation,
+    step_batch,
     step_enthalpy,
     step_standard,
 )

@@ -2,7 +2,10 @@
 
 Exit codes: 0 success, 1 invalid configuration or parameters, 2 a solve run
 ended in overflow.  Worker count for sweeps comes from the config, overridable
-by the QGD1D_WORKERS environment variable when the config leaves it at 0.
+by the QGD1D_WORKERS environment variable when the config leaves it at 0.  A
+sweep deals its cells into one shard per worker process and advances each
+shard as one batch, so its output files are byte-identical for any worker
+count.
 """
 
 from __future__ import annotations

@@ -3,7 +3,9 @@
 A sweep runs one simulation per (alpha, beta) cell, classifies each run as
 conservative / non-conservative / overflow from the growth of the total
 variation of the density (and a density corridor), and lays the closed-form
-stability curves over the resulting map.
+stability curves over the resulting map.  The cells are split into one
+shard per worker process, and each shard advances all its cells as one
+[cells, n] batch on the schemes' array kernel.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from .errors import DomainMismatch, EmptyTrajectory
 from .gas import GasModel, IsentropicLaw
 from .mesh import Boundary, Mesh, MeshState
 from .regularization import SchemeConfig, Variant
-from .schemes import Trajectory, run_simulation
+from .schemes import Trajectory, run_batch, run_simulation
 from .spectral import (
     SW_KAPPA,
     max_stable_beta,
@@ -212,12 +214,18 @@ def _overlays(alphas: np.ndarray, kappa: float, variant: Variant,
                          necessary=nec, criterion=crit, sufficient=suff)
 
 
-def _run_cell(args) -> tuple[int, int, RunVerdict]:
-    (i, j, setup, model, cfg, thresholds, record_every) = args
-    mesh = setup.mesh(Boundary.OUTFLOW)
-    initial = riemann_initial(setup, mesh)
-    traj = run_simulation(initial, model, cfg, setup.t_end, record_every=record_every)
-    return i, j, classify_run(traj, thresholds)
+def _run_cell(args) -> list[tuple[int, int, RunVerdict]]:
+    """Advance one shard of sweep cells as a single batch; each row is
+    classified, and its trajectory dropped, as it leaves the batch."""
+    (cells, setup, model, base_cfg, thresholds, record_every) = args
+    initial = riemann_initial(setup, setup.mesh(Boundary.OUTFLOW))
+    _, _, alphas, betas = zip(*cells)
+    runs = run_batch(initial, model, base_cfg, alphas, betas, setup.t_end, record_every)
+    verdicts = []
+    for r, traj in runs:
+        i, j, _, _ = cells[r]
+        verdicts.append((i, j, classify_run(traj, thresholds)))
+    return verdicts
 
 
 def sweep_region(setup: RiemannSetup, model: GasModel, base_cfg: SchemeConfig,
@@ -227,9 +235,11 @@ def sweep_region(setup: RiemannSetup, model: GasModel, base_cfg: SchemeConfig,
     """Run one simulation per (alpha, beta) cell and classify it.
 
     base_cfg fixes the scheme kind, regularization variant, alpha_s and
-    c_ref; alpha and beta are taken from the grids.  Cells are independent;
-    with workers > 1 they run in a process pool, written back by index so
-    the result does not depend on completion order.
+    c_ref; alpha and beta are taken from the grids.  The cells are dealt
+    round-robin into `workers` shards and each shard advances as one batch
+    (run_batch); with workers > 1 each shard runs in its own pool process.
+    Rows are independent and verdicts are written back by cell index, so
+    the result does not depend on the worker count.
     """
     alphas = np.asarray(list(alphas), dtype=float)
     betas = np.asarray(list(betas), dtype=float)
@@ -244,24 +254,24 @@ def sweep_region(setup: RiemannSetup, model: GasModel, base_cfg: SchemeConfig,
     kappa = base_cfg.kappa
 
     actual = np.empty((alphas.size, betas.size))
-    tasks = []
+    cells = []
     for i, a in enumerate(alphas):
         scale = max_stable_beta(a, kappa, base_cfg.regularization) if beta_mode == "relative" else 1.0
         for j, b in enumerate(betas):
-            beta = b * scale
-            actual[i, j] = beta
-            cfg = replace(base_cfg, alpha=float(a), beta=float(beta))
-            tasks.append((i, j, setup, model, cfg, thresholds, record_every))
+            actual[i, j] = b * scale
+            cells.append((i, j, float(a), float(actual[i, j])))
 
-    verdicts = [[None] * betas.size for _ in range(alphas.size)]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for i, j, verdict in pool.map(_run_cell, tasks, chunksize=4):
-                verdicts[i][j] = verdict
+    n_shards = max(1, min(workers, len(cells)))
+    shards = [(cells[k::n_shards], setup, model, base_cfg, thresholds, record_every)
+              for k in range(n_shards)]
+    if n_shards > 1:
+        with ProcessPoolExecutor(max_workers=n_shards) as pool:
+            results = list(pool.map(_run_cell, shards))
     else:
-        for task in tasks:
-            i, j, verdict = _run_cell(task)
-            verdicts[i][j] = verdict
+        results = [_run_cell(shard) for shard in shards]
+    verdicts = [[None] * betas.size for _ in range(alphas.size)]
+    for i, j, verdict in (cell for shard in results for cell in shard):
+        verdicts[i][j] = verdict
 
     shallow_water = (isinstance(model.law, IsentropicLaw)
                      and model.law.p1 == 1.0 and model.law.gamma == 2.0
@@ -297,14 +307,9 @@ def compare_transition(region: RegionMap) -> list[TransitionRow]:
         largest_cons = max(cons) if cons else None
         smallest_non = min(non) if non else None
         monotone = (not cons or not non or max(cons) < min(non))
-        if largest_cons is not None and smallest_non is not None and monotone:
-            transition = 0.5 * (largest_cons + smallest_non)
-        elif largest_cons is not None and smallest_non is None:
-            transition = None  # entirely conservative: transition above the grid
-        elif largest_cons is None and smallest_non is not None:
-            transition = None  # entirely non-conservative: transition below the grid
-        else:
-            transition = None
+        # None when the column is all one verdict (the transition lies
+        # outside the grid) or is not monotone
+        transition = 0.5 * (largest_cons + smallest_non) if cons and non and monotone else None
         gap = lambda curve: None if transition is None else transition - float(curve[i])
         rows.append(TransitionRow(
             alpha=float(alpha),

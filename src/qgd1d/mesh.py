@@ -1,10 +1,9 @@
-"""Uniform 1D mesh, boundary rules, node/half-mesh grid operators, and state.
+"""Uniform 1D mesh, boundary rules and state.
 
-Node arrays live on the main mesh x_k = x_min + k*h, k = 0..n-1.  Half-mesh
-arrays have length n+1 and carry values at x_{k-1/2}, k = 0..n, so that the
-adjoint operators map them back onto all n nodes.  One ghost node per side is
-supplied by the boundary rule: periodic wrap, or copy of the end value
-(zero-order extrapolation, for outflow).
+Node arrays live on the main mesh x_k = x_min + k*h, k = 0..n-1.  The
+boundary rule supplies one ghost node per side: periodic wrap, or copy of
+the end value (zero-order extrapolation, for outflow).  The half-mesh
+operators built on it live with the stepping kernel in `schemes`.
 """
 
 from __future__ import annotations
@@ -44,60 +43,6 @@ class Mesh:
     @property
     def nodes(self) -> np.ndarray:
         return self.x_min + self.h * np.arange(self.n)
-
-
-class GridOperators:
-    """The four mesh operators bound to one mesh.
-
-    avg/diff take node arrays (length n) to the half mesh (length n+1):
-        (avg v)_{k-1/2}  = (v_{k-1} + v_k) / 2
-        (diff v)_{k-1/2} = (v_k - v_{k-1}) / h
-    node_avg/node_diff take half-mesh arrays back to the nodes:
-        (node_diff y)_k = (y_{k+1/2} - y_{k-1/2}) / h
-        (node_avg y)_k  = (y_{k-1/2} + y_{k+1/2}) / 2
-    node_diff(diff(v)) is the standard second difference divided by h**2.
-    """
-
-    def __init__(self, mesh: Mesh):
-        self.mesh = mesh
-
-    def _pad(self, v) -> np.ndarray:
-        v = np.asarray(v)
-        if v.shape != (self.mesh.n,):
-            raise LengthMismatch(f"expected node array of length {self.mesh.n}, got shape {v.shape}")
-        if self.mesh.boundary is Boundary.PERIODIC:
-            return np.concatenate((v[-1:], v, v[:1]))
-        return np.concatenate((v[:1], v, v[-1:]))
-
-    def _check_half(self, y) -> np.ndarray:
-        y = np.asarray(y)
-        if y.shape != (self.mesh.n + 1,):
-            raise LengthMismatch(f"expected half-mesh array of length {self.mesh.n + 1}, got shape {y.shape}")
-        return y
-
-    def avg(self, v) -> np.ndarray:
-        vp = self._pad(v)
-        return 0.5 * (vp[:-1] + vp[1:])
-
-    def diff(self, v) -> np.ndarray:
-        vp = self._pad(v)
-        return (vp[1:] - vp[:-1]) / self.mesh.h
-
-    def node_diff(self, y) -> np.ndarray:
-        y = self._check_half(y)
-        return (y[1:] - y[:-1]) / self.mesh.h
-
-    def node_avg(self, y) -> np.ndarray:
-        y = self._check_half(y)
-        return 0.5 * (y[:-1] + y[1:])
-
-    def shift_plus(self, v) -> np.ndarray:
-        """v_{k+1}, ghost value on the right end."""
-        return self._pad(v)[2:]
-
-    def shift_minus(self, v) -> np.ndarray:
-        """v_{k-1}, ghost value on the left end."""
-        return self._pad(v)[:-2]
 
 
 @dataclass(frozen=True)

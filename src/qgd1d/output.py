@@ -36,7 +36,7 @@ def _fmt(x) -> str:
     if isinstance(x, float):
         if math.isinf(x):
             return "inf" if x > 0 else "-inf"
-        return repr(x)
+        return repr(float(x))  # np.float64 is a float whose repr is "np.float64(...)"
     return str(x)
 
 

@@ -1,17 +1,25 @@
 """Config handling and the four subcommands."""
 
+import csv
 import json
 
 import pytest
 
 from qgd1d.cli import (
     apply_overrides,
+    build_mesh,
+    build_model,
+    build_scheme,
+    build_setup,
+    build_thresholds,
     load_config,
     main,
     serialize_config,
     validate_config,
 )
 from qgd1d.errors import ConfigError
+from qgd1d.experiments import classify_run, compare_transition, riemann_initial, sweep_region
+from qgd1d.schemes import run_simulation
 
 
 class TestConfig:
@@ -72,6 +80,27 @@ class TestConfig:
             load_config("/no/such/file.json")
 
 
+def _parse_field(text):
+    """A CSV field as the value it spells: empty, a bool, a number or a word."""
+    if text == "":
+        return None
+    if text in ("True", "False"):
+        return text == "True"
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
+def assert_csv_matches(path, header, expected):
+    """The CSV at path has this header and parses back to the expected rows."""
+    with open(path, newline="", encoding="utf-8") as f:
+        rows = list(csv.reader(f))
+    assert rows[0] == header, path.name
+    parsed = [[_parse_field(field) for field in row] for row in rows[1:]]
+    assert parsed == [list(row) for row in expected], path.name
+
+
 def _fast_config(tmp_path, **scheme):
     cfg = {
         "scheme": {"kind": "enthalpy", "alpha": 0.4, "alpha_s": 4.0 / 3.0,
@@ -96,6 +125,28 @@ class TestSolve:
         snapshots = sorted(out_dir.glob("snapshot_*.csv"))
         assert snapshots and snapshots[0].read_text().startswith("x,rho,u")
         assert "conservative" in capsys.readouterr().out
+
+    def test_csv_outputs_parse_back_to_memory(self, tmp_path):
+        path = _fast_config(tmp_path)
+        assert main(["solve", str(path)]) == 0
+        cfg = load_config(str(path))
+        setup = build_setup(cfg)
+        traj = run_simulation(riemann_initial(setup, build_mesh(cfg)), build_model(cfg),
+                              build_scheme(cfg), setup.t_end, record_every=5)
+        verdict = classify_run(traj, build_thresholds(cfg, setup))
+        out_dir = tmp_path / "out"
+        assert len(list(out_dir.glob("snapshot_*.csv"))) == len(traj.snapshots)
+        for idx, (_, state) in enumerate(traj.snapshots):
+            assert_csv_matches(out_dir / f"snapshot_{idx:04d}.csv", ["x", "rho", "u"],
+                               zip(state.mesh.nodes, state.rho, state.u))
+        d = traj.diagnostics
+        assert_csv_matches(out_dir / "diagnostics.csv",
+                           ["t", "mass", "momentum", "min_rho", "max_abs_u"],
+                           zip(d.t, d.mass, d.momentum, d.min_rho, d.max_abs_u))
+        assert_csv_matches(out_dir / "verdict.csv",
+                           ["classification", "oscillation_score", "completed", "steps"],
+                           [(verdict.classification.value, verdict.oscillation_score,
+                             verdict.completed, traj.steps)])
 
     def test_overflow_run_exit_two(self, tmp_path, capsys):
         path = _fast_config(tmp_path, beta=6.0)
@@ -180,6 +231,37 @@ class TestSweep:
         region = (tmp_path / "out1" / "region.csv").read_text().splitlines()
         assert region[0] == "alpha,beta,verdict,oscillation_score"
         assert len(region) == 1 + 2 * 3
+
+
+    def test_csv_outputs_parse_back_to_memory(self, tmp_path):
+        path = self._sweep_config(tmp_path, 1, "out")
+        assert main(["sweep", str(path)]) == 0
+        cfg = load_config(str(path))
+        setup = build_setup(cfg)
+        sweep = cfg["sweep"]
+        region = sweep_region(setup, build_model(cfg), build_scheme(cfg),
+                              alphas=sweep["alphas"], betas=sweep["betas"],
+                              beta_mode=sweep["beta_mode"],
+                              thresholds=build_thresholds(cfg, setup), record_every=5)
+        out_dir = tmp_path / "out"
+        cells = [(alpha, beta, v.classification.value, v.oscillation_score)
+                 for i, alpha in enumerate(region.alphas)
+                 for beta, v in zip(*region.column(i))]
+        assert_csv_matches(out_dir / "region.csv",
+                           ["alpha", "beta", "verdict", "oscillation_score"], cells)
+        ov = region.overlays
+        assert_csv_matches(out_dir / "overlays.csv",
+                           ["alpha", "beta_necessary", "beta_criterion", "beta_sufficient"],
+                           zip(ov.alphas, ov.necessary, ov.criterion, ov.sufficient))
+        rows = compare_transition(region)
+        assert any(r.transition is not None for r in rows)
+        assert_csv_matches(out_dir / "transitions.csv",
+                           ["alpha", "largest_conservative", "smallest_nonconservative",
+                            "monotone", "transition", "gap_to_criterion", "gap_to_necessary",
+                            "gap_to_sufficient"],
+                           [(r.alpha, r.largest_conservative, r.smallest_nonconservative,
+                             r.monotone, r.transition, r.gap_to_criterion,
+                             r.gap_to_necessary, r.gap_to_sufficient) for r in rows])
 
 
 class TestVerify:

@@ -1,12 +1,10 @@
-"""Gas model, regularization coefficients, and grid operators."""
+"""Gas model, regularization coefficients, and mesh state."""
 
 import numpy as np
 import pytest
 
 from qgd1d import (
-    Boundary,
     GasModel,
-    GridOperators,
     LengthMismatch,
     Mesh,
     MeshState,
@@ -139,65 +137,6 @@ class TestSchemeConfig:
 
         with pytest.raises(ConfigError):
             SchemeConfig(alpha=0.4, beta=0.5).time_step(0.008)
-
-
-class TestGridOperators:
-    def _ops(self, n=16, h=0.25, boundary=Boundary.PERIODIC):
-        return GridOperators(Mesh(n=n, h=h, boundary=boundary))
-
-    def test_constants_annihilated(self):
-        g = self._ops()
-        c = np.full(16, 3.7)
-        assert np.allclose(g.avg(c), 3.7, rtol=0, atol=0)
-        assert np.all(g.diff(c) == 0.0)
-        assert np.all(g.node_diff(np.full(17, 1.23)) == 0.0)
-
-    def test_linear_profile_interior(self):
-        mesh = Mesh(n=12, h=0.5, x_min=0.0, boundary=Boundary.OUTFLOW)
-        g = GridOperators(mesh)
-        x = mesh.nodes
-        d = g.diff(x)
-        assert np.allclose(d[1:-1], 1.0, rtol=1e-14)  # ends see ghost copies
-        s = g.avg(x)
-        mid = 0.5 * (x[:-1] + x[1:])
-        assert np.allclose(s[1:-1], mid, rtol=1e-14)
-
-    def test_second_difference_composition(self):
-        rng = np.random.default_rng(11)
-        for boundary in Boundary:
-            mesh = Mesh(n=33, h=0.07, boundary=boundary)
-            g = GridOperators(mesh)
-            v = rng.standard_normal(33)
-            composed = g.node_diff(g.diff(v))
-            if boundary is Boundary.PERIODIC:
-                direct = (np.roll(v, -1) - 2.0 * v + np.roll(v, 1)) / mesh.h**2
-            else:
-                vp = np.concatenate(([v[0]], v, [v[-1]]))
-                direct = (vp[2:] - 2.0 * vp[1:-1] + vp[:-2]) / mesh.h**2
-            assert np.allclose(composed, direct, rtol=1e-13, atol=1e-13)
-
-    def test_operators_commute_with_shift_on_periodic(self):
-        rng = np.random.default_rng(5)
-        g = self._ops(n=24, h=0.1)
-        v = rng.standard_normal(24)
-        shifted = np.roll(v, 3)
-        for op in (g.avg, g.diff):
-            a = op(shifted)[:-1]                # half arrays: entry n wraps entry 0
-            b = np.roll(op(v)[:-1], 3)
-            assert np.allclose(a, b, rtol=1e-14, atol=1e-15)
-
-    def test_shifts(self):
-        g = self._ops(n=5, h=1.0)
-        v = np.arange(5.0)
-        assert np.array_equal(g.shift_plus(v), np.roll(v, -1))
-        assert np.array_equal(g.shift_minus(v), np.roll(v, 1))
-
-    def test_length_mismatch(self):
-        g = self._ops(n=8)
-        with pytest.raises(LengthMismatch):
-            g.avg(np.zeros(7))
-        with pytest.raises(LengthMismatch):
-            g.node_diff(np.zeros(8))
 
 
 class TestMeshState:

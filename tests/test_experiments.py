@@ -1,6 +1,7 @@
 """Riemann initial data, run classification, region sweeps."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -180,14 +181,44 @@ class TestSweep:
             for verdict in column:
                 assert verdict.classification is Classification.CONSERVATIVE
 
-    def test_far_unstable_region_and_monotone_columns(self):
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_far_unstable_region_and_monotone_columns(self, workers):
+        # overflowing and finite rows share a batch; any numpy RuntimeWarning fails
         setup = self._small_setup()
         region = sweep_region(setup, MODEL, enthalpy_cfg(0.4, 1.0, None),
-                              alphas=[0.4], betas=[2.2, 2.6, 3.0], beta_mode="relative",
-                              record_every=5)
-        for verdict in region.verdicts[0]:
+                              alphas=[0.4], betas=[0.5, 2.2, 2.6, 3.0], beta_mode="relative",
+                              record_every=5, workers=workers)
+        assert region.verdicts[0][0].classification is Classification.CONSERVATIVE
+        for verdict in region.verdicts[0][1:]:
             assert verdict.classification in (Classification.NON_CONSERVATIVE,
                                               Classification.OVERFLOW)
+        assert Classification.OVERFLOW in {v.classification for v in region.verdicts[0]}
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("kind", [SchemeKind.STANDARD, SchemeKind.ENTHALPY])
+    @pytest.mark.parametrize("variant", [Variant.FULL_QGD, Variant.SIMPLIFIED_QHD])
+    def test_batched_sweep_matches_per_cell_runs(self, kind, variant, workers):
+        # the per-cell loop of run_simulation + classify_run is the reference
+        setup = self._small_setup()
+        cfg = SchemeConfig(alpha=0.4, beta=1.0, alpha_s=4.0 / 3.0, regularization=variant,
+                           scheme=kind)
+        thresholds = ClassifyThresholds.for_setup(setup)
+        region = sweep_region(setup, MODEL, cfg, alphas=[0.3, 0.6],
+                              betas=[0.6, 1.0, 1.2, 1.4, 1.8, 2.6], beta_mode="relative",
+                              thresholds=thresholds, record_every=5, workers=workers)
+        initial = riemann_initial(setup, setup.mesh())
+        seen = set()
+        for i, alpha in enumerate(region.alphas):
+            for j, beta in enumerate(region.actual_betas[i]):
+                cell_cfg = replace(cfg, alpha=float(alpha), beta=float(beta))
+                traj = run_simulation(initial, MODEL, cell_cfg, setup.t_end, record_every=5)
+                want = classify_run(traj, thresholds)
+                got = region.verdicts[i][j]
+                assert got.classification is want.classification
+                assert got.oscillation_score == want.oscillation_score
+                seen.add(got.classification)
+        assert seen == set(Classification)
 
     def test_compare_transition_report(self):
         setup = self._small_setup()

@@ -1,6 +1,7 @@
 """Nonlinear steppers: flux formulas, conservation, fixed points, linearization."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from qgd1d import (
     Boundary,
     GasModel,
+    LengthMismatch,
     LinearizedParams,
     Mesh,
     MeshState,
@@ -20,6 +22,7 @@ from qgd1d import (
     linearized_step,
     make_stepper,
     run_simulation,
+    step_batch,
     step_standard,
 )
 
@@ -276,8 +279,97 @@ def test_step_rejects_vanishing_density():
         step_standard(state, MODEL, cfg, dt=0.05)
 
 
+@pytest.mark.parametrize("kind", [SchemeKind.STANDARD, SchemeKind.ENTHALPY])
+@pytest.mark.parametrize("variant", [Variant.FULL_QGD, Variant.SIMPLIFIED_QHD])
+def test_step_batch_rows_match_single_steps(kind, variant):
+    # every row of a batch, with its own alpha and dt, is exactly the state
+    # stepped alone
+    states = [periodic_state(n=24, h=0.05, seed=s) for s in range(5)]
+    alphas = np.array([0.2, 0.35, 0.5, 0.8, 1.1])
+    dts = np.array([0.004, 0.01, 0.007, 0.02, 0.013])
+    cfg = SchemeConfig(alpha=1.0, beta=0.3, alpha_s=0.9, regularization=variant,
+                       scheme=kind, c_ref=1.5)
+    rho = np.stack([s.rho for s in states])
+    u = np.stack([s.u for s in states])
+    mesh = states[0].mesh
+    rho_new, u_new = step_batch(rho, u, MODEL, cfg, mesh, alphas[:, None], dts[:, None])
+    for k, state in enumerate(states):
+        alone = make_stepper(cfg)(state, MODEL, replace(cfg, alpha=float(alphas[k])),
+                                  dt=float(dts[k]))
+        assert np.array_equal(rho_new[k], alone.rho)
+        assert np.array_equal(u_new[k], alone.u)
+    with pytest.raises(LengthMismatch):
+        step_batch(rho[:, :-1], u[:, :-1], MODEL, cfg, mesh, 0.5, 0.01)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_step_batch_overflowing_row_is_silent():
+    # a row that overflows raises no numpy warning and leaves its neighbour
+    # exactly as if stepped alone
+    state = periodic_state(n=16, h=0.1, seed=2)
+    cfg = SchemeConfig(alpha=0.4, beta=0.3, alpha_s=1.0, c_ref=1.5)
+    rho = np.stack([state.rho, state.rho])
+    u = np.stack([state.u, 1e200 * state.u])
+    rho_new, u_new = step_batch(rho, u, MODEL, cfg, state.mesh, cfg.alpha, 0.01)
+    alone = step_standard(state, MODEL, cfg, dt=0.01)
+    assert np.array_equal(rho_new[0], alone.rho) and np.array_equal(u_new[0], alone.u)
+    assert not (np.all(np.isfinite(rho_new[1])) and np.all(np.isfinite(u_new[1])))
+
+
 # ---------------------------------------------------------------------------
 # the driver
+
+
+def _reference_run(initial, cfg, t_end, record_every):
+    """The per-step loop over single MeshState steps that run_simulation
+    batches: (steps, overflow, diagnostic rows, snapshot states)."""
+    cfg = cfg.resolve_c_ref(MODEL, initial.rho)
+    dt = cfg.time_step(initial.mesh.h)
+    step = make_stepper(cfg)
+
+    def diag(state):
+        h = state.mesh.h
+        return (state.t, h * float(np.sum(state.rho)), h * float(np.sum(state.momentum)),
+                float(np.min(state.rho)), float(np.max(np.abs(state.u))))
+
+    state, steps, overflow = initial, 0, False
+    rows, snapshots = [diag(state)], [state]
+    eps = 1e-12 * max(1.0, abs(t_end))
+    while state.t < t_end - eps:
+        try:
+            new_state = step(state, MODEL, cfg, dt=min(dt, t_end - state.t))
+        except NonPositiveDensity:
+            overflow = True
+            break
+        if not (np.all(np.isfinite(new_state.rho)) and np.all(np.isfinite(new_state.u))):
+            overflow = True
+            break
+        state = new_state
+        steps += 1
+        rows.append(diag(state))
+        if steps % record_every == 0:
+            snapshots.append(state)
+    if not overflow and snapshots[-1].t < state.t:
+        snapshots.append(state)
+    return steps, overflow, rows, snapshots
+
+
+@pytest.mark.parametrize("kind", [SchemeKind.STANDARD, SchemeKind.ENTHALPY])
+@pytest.mark.parametrize("beta,boundary", [(0.4, Boundary.OUTFLOW), (0.4, Boundary.PERIODIC),
+                                           (3.0, Boundary.OUTFLOW)])
+def test_run_matches_per_step_reference(kind, beta, boundary):
+    state = periodic_state(n=40, h=0.025, seed=5, amp=0.4, u_amp=0.4)
+    initial = MeshState(Mesh(n=40, h=0.025, boundary=boundary), state.rho, state.u)
+    cfg = SchemeConfig(alpha=0.4, beta=beta, alpha_s=4.0 / 3.0, scheme=kind)
+    traj = run_simulation(initial, MODEL, cfg, t_end=0.3, record_every=4)
+    steps, overflow, rows, snapshots = _reference_run(initial, cfg, 0.3, 4)
+    assert (traj.steps, traj.overflow) == (steps, overflow)
+    assert overflow is (beta > 1.0)
+    d = traj.diagnostics
+    assert list(zip(d.t, d.mass, d.momentum, d.min_rho, d.max_abs_u)) == rows
+    assert [t for t, _ in traj.snapshots] == [s.t for s in snapshots]
+    for (_, got), want in zip(traj.snapshots, snapshots):
+        assert np.array_equal(got.rho, want.rho) and np.array_equal(got.u, want.u)
 
 
 def test_run_constant_state_round_trip():
