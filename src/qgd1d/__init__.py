@@ -57,6 +57,7 @@ from .spectral import (
     necessary_beta_max,
     necessary_condition,
     optimal_alpha,
+    oracle_mismatches,
     spectral_radius_scan,
     stability_verdict,
     sufficient_beta_max_sw,

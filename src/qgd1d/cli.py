@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import copy
 import json
+import math
 import os
 import sys
 
@@ -36,9 +37,8 @@ from .schemes import run_simulation, step_enthalpy, step_standard
 from .spectral import (
     LinearizedParams,
     max_stable_beta,
-    necessary_beta_max,
     optimal_alpha,
-    spectral_radius_scan,
+    oracle_mismatches,
     stability_verdict,
     verify_norm_monotonicity,
 )
@@ -101,15 +101,31 @@ def _merge(base: dict, override: dict, path: str = "") -> dict:
     return merged
 
 
+def _is_number(value) -> bool:
+    """True for a JSON number (not a bool) that is a finite float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
 def _require_number(cfg, section, key, positive=False, nonnegative=False):
     value = cfg[section][key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise _fail(f"{section}.{key}", "expected a number")
+    if not _is_number(value):
+        raise _fail(f"{section}.{key}", "expected a finite number")
     if positive and value <= 0:
         raise _fail(f"{section}.{key}", "must be > 0")
     if nonnegative and value < 0:
         raise _fail(f"{section}.{key}", "must be >= 0")
     return float(value)
+
+
+def _require_int(cfg, section, key, minimum):
+    value = cfg[section][key]
+    if not (_is_number(value) and isinstance(value, int) and value >= minimum):
+        raise _fail(f"{section}.{key}", f"must be an integer >= {minimum}")
 
 
 def validate_config(cfg: dict) -> dict:
@@ -130,29 +146,21 @@ def validate_config(cfg: dict) -> dict:
         _require_number(merged, "scheme", "c_ref", positive=True)
     _require_number(merged, "mesh", "h", positive=True)
     _require_number(merged, "mesh", "x_min")
-    n = merged["mesh"]["n"]
-    if not isinstance(n, int) or n < 3:
-        raise _fail("mesh.n", "must be an integer >= 3")
+    _require_int(merged, "mesh", "n", 3)
     for key in ("rho_left", "rho_right"):
         _require_number(merged, "experiment", key, positive=True)
     for key in ("u_left", "u_right", "x0"):
         _require_number(merged, "experiment", key)
     _require_number(merged, "experiment", "t_end", positive=True)
-    rec = merged["experiment"]["record_every"]
-    if not isinstance(rec, int) or rec < 1:
-        raise _fail("experiment.record_every", "must be an integer >= 1")
+    _require_int(merged, "experiment", "record_every", 1)
     _require_number(merged, "classify", "tv_ratio_max", positive=True)
     _require_number(merged, "classify", "rho_floor_factor", nonnegative=True)
     _require_number(merged, "classify", "rho_ceil_factor", positive=True)
     for key in ("alphas", "betas"):
         grid = merged["sweep"][key]
-        if not isinstance(grid, list) or not grid or not all(
-            isinstance(v, (int, float)) and not isinstance(v, bool) and v > 0 for v in grid
-        ):
-            raise _fail(f"sweep.{key}", "must be a non-empty list of positive numbers")
-    workers = merged["sweep"]["workers"]
-    if not isinstance(workers, int) or workers < 0:
-        raise _fail("sweep.workers", "must be an integer >= 0")
+        if not isinstance(grid, list) or not grid or not all(_is_number(v) and v > 0 for v in grid):
+            raise _fail(f"sweep.{key}", "must be a non-empty list of finite positive numbers")
+    _require_int(merged, "sweep", "workers", 0)
     out_formats = merged["output"]["formats"]
     if not isinstance(out_formats, list) or not all(f in ("csv", "svg") for f in out_formats):
         raise _fail("output.formats", "must be a list drawn from ['csv', 'svg']")
@@ -191,6 +199,8 @@ def apply_overrides(cfg: dict, overrides: list[str]) -> dict:
         parts = key.split(".")
         for part in parts[:-1]:
             node = node.setdefault(part, {})
+            if not isinstance(node, dict):
+                raise ConfigError(f"override '{item}': '{part}' is already set to a value")
         node[parts[-1]] = value
     return validate_config(_merge(cfg, patch))
 
@@ -372,25 +382,9 @@ def cmd_sweep(cfg: dict, out_dir: str | None = None) -> int:
 
 
 def _verify_oracle_equivalence() -> tuple[bool, str]:
-    alphas = np.round(np.arange(1, 31) * 0.05, 10)
-    betas = np.round(np.arange(1, 33) * 0.05, 10)
-    cases = [(k, Variant.FULL_QGD) for k in (1.0, 7.0 / 3.0, 4.0)]
-    cases += [(a_s, Variant.SIMPLIFIED_QHD) for a_s in (0.0, 0.5, 1.0, 2.0)]
-    checked = 0
-    for kappa, variant in cases:
-        for alpha in alphas:
-            nec_b = necessary_beta_max(float(alpha), kappa, variant)
-            crit_b = max_stable_beta(float(alpha), kappa, variant)
-            for beta in betas:
-                params = LinearizedParams(float(alpha), float(beta), kappa, variant)
-                scan = spectral_radius_scan(params, 4096)
-                if abs(beta - nec_b) > 1e-6:
-                    if (beta <= nec_b) != (scan.max_radius <= 1.0 + 1e-10):
-                        return False, f"necessary mismatch at alpha={alpha} beta={beta} kappa={kappa} {variant.value}"
-                if abs(beta - crit_b) > 1e-6:
-                    if (beta <= crit_b) != (scan.max_gram <= 1.0 + 1e-10):
-                        return False, f"criterion mismatch at alpha={alpha} beta={beta} kappa={kappa} {variant.value}"
-                checked += 1
+    checked, mismatches = oracle_mismatches()
+    if mismatches:
+        return False, mismatches[0]
     return True, f"{checked} parameter points"
 
 

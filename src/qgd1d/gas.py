@@ -7,11 +7,11 @@ conservative scheme uses in place of direct pressure differences.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import NonMonotonePressure, NonPositiveDensity
 
@@ -33,10 +33,10 @@ class IsentropicLaw:
     gamma: float
 
     def __post_init__(self):
-        if self.p1 <= 0.0:
-            raise ValueError("p1 must be > 0")
-        if self.gamma <= 1.0:
-            raise ValueError("gamma must be > 1")
+        if not 0.0 < self.p1 < math.inf:
+            raise ValueError("p1 must be finite and > 0")
+        if not 1.0 < self.gamma < math.inf:
+            raise ValueError("gamma must be finite and > 1")
 
 
 @dataclass(frozen=True)
@@ -64,8 +64,8 @@ class GasModel:
     r0: float = 0.0
 
     def __post_init__(self):
-        if self.r0 < 0.0:
-            raise ValueError("r0 must be >= 0")
+        if not 0.0 <= self.r0 < math.inf:
+            raise ValueError("r0 must be finite and >= 0")
 
     @classmethod
     def isentropic(cls, p1: float = 1.0, gamma: float = 2.0, r0: float = 0.0) -> "GasModel":
@@ -100,6 +100,10 @@ class GasModel:
         else:
             if self.r0 <= 0.0:
                 raise ValueError("a tabulated law needs r0 > 0 to anchor the enthalpy integral")
+            # imported here: scipy takes longer to import than the rest of the
+            # package, and only this branch needs it
+            from scipy.integrate import quad
+
             flat = np.atleast_1d(arr).ravel()
             vals = [
                 quad(lambda r: float(self.law.p_prime(r)) / r, self.r0, x,

@@ -8,10 +8,15 @@ necessary condition and the L2 weak-conservativeness criterion, for both
 regularization variants, plus a published sufficient bound for the scaled
 shallow-water law), and a brute-force spectral scan used as an independent
 oracle for all of them.
+
+The scan and the worst-mode search read one memoised, read-only wavenumber
+grid per sample count, so repeated scans share sin(xi/2)**2 and sin(xi).
+The norm check steps all of its trials as one (rows, n) batch.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -38,10 +43,10 @@ class LinearizedParams:
     variant: Variant = Variant.FULL_QGD
 
     def __post_init__(self):
-        if self.alpha <= 0.0:
-            raise ValueError("alpha must be > 0")
-        if self.beta <= 0.0:
-            raise ValueError("beta must be > 0")
+        if not 0.0 < self.alpha < math.inf:
+            raise ValueError("alpha must be finite and > 0")
+        if not 0.0 < self.beta < math.inf:
+            raise ValueError("beta must be finite and > 0")
         _check_kappa(self.kappa, self.variant)
 
     @classmethod
@@ -54,8 +59,8 @@ class LinearizedParams:
 
 
 def _check_kappa(kappa: float, variant: Variant) -> None:
-    if kappa < 0.0:
-        raise InvalidKappa("kappa must be >= 0")
+    if not 0.0 <= kappa < math.inf:
+        raise InvalidKappa("kappa must be finite and >= 0")
     if variant is Variant.FULL_QGD and kappa < 1.0:
         raise InvalidKappa("full regularization requires kappa = alpha_s + 1 >= 1")
 
@@ -70,15 +75,17 @@ def linearized_step(rho, u, params: LinearizedParams):
         rho+ = rho - (beta/2)(u_+ - u_-)   + alpha*beta       (rho_+ - 2 rho + rho_-)
         u+   = u   - (beta/2)(rho_+ - rho_-) + kappa*alpha*beta (u_+ - 2 u + u_-)
 
-    Complex-valued arrays are allowed.
+    rho and u are 1D arrays or (rows, n) batches of independent meshes; the
+    mesh runs along the last axis, and each row equals its own 1D step bit
+    for bit.  Complex-valued arrays are allowed.
     """
     rho = np.asarray(rho)
     u = np.asarray(u)
-    if rho.shape != u.shape or rho.ndim != 1:
-        raise LengthMismatch("rho and u must be 1D arrays of equal length")
+    if rho.shape != u.shape or rho.ndim not in (1, 2):
+        raise LengthMismatch("rho and u must be 1D or (rows, n) arrays of equal shape")
     a, b, k = params.alpha, params.beta, params.kappa
-    rho_p, rho_m = np.roll(rho, -1), np.roll(rho, 1)
-    u_p, u_m = np.roll(u, -1), np.roll(u, 1)
+    rho_p, rho_m = np.roll(rho, -1, axis=-1), np.roll(rho, 1, axis=-1)
+    u_p, u_m = np.roll(u, -1, axis=-1), np.roll(u, 1, axis=-1)
     rho_new = rho - 0.5 * b * (u_p - u_m) + a * b * (rho_p - 2.0 * rho + rho_m)
     u_new = u - 0.5 * b * (rho_p - rho_m) + k * a * b * (u_p - 2.0 * u + u_m)
     return rho_new, u_new
@@ -95,16 +102,31 @@ class AmplificationMatrix:
     omega2: float     # beta*sin(xi)
 
 
-def _omegas(xi, params: LinearizedParams):
-    theta = np.sin(np.asarray(xi) / 2.0) ** 2
-    omega1 = 4.0 * params.alpha * params.beta * theta
-    omega2 = params.beta * np.sin(np.asarray(xi))
-    return theta, omega1, omega2
+def _sines(xi):
+    """theta = sin^2(xi/2) and sin(xi), the wavenumber factors of G(xi)."""
+    xi = np.asarray(xi)
+    return np.sin(xi / 2.0) ** 2, np.sin(xi)
+
+
+@functools.lru_cache(maxsize=8)
+def _wavenumber_grid(n_samples: int):
+    """_sines on xi_j = 2*pi*j/n_samples, j = 0..n_samples-1, computed once
+    per sample count and shared read-only by every caller."""
+    theta, sin_xi = _sines(2.0 * np.pi * np.arange(n_samples) / n_samples)
+    theta.flags.writeable = False
+    sin_xi.flags.writeable = False
+    return theta, sin_xi
+
+
+def _omegas(theta, sin_xi, params: LinearizedParams):
+    """omega1 = 4*alpha*beta*theta and omega2 = beta*sin(xi)."""
+    return 4.0 * params.alpha * params.beta * theta, params.beta * sin_xi
 
 
 def amplification_matrix(xi: float, params: LinearizedParams) -> AmplificationMatrix:
     """G(xi) = [[1 - w1, -i w2], [-i w2, 1 - kappa w1]]."""
-    theta, w1, w2 = _omegas(float(xi), params)
+    theta, sin_xi = _sines(float(xi))
+    w1, w2 = _omegas(theta, sin_xi, params)
     g = np.array(
         [[1.0 - w1, -1j * w2],
          [-1j * w2, 1.0 - params.kappa * w1]],
@@ -130,7 +152,7 @@ def _gram_extremes(omega1, omega2, kappa):
 
 def gram_max_eigen(xi: float, params: LinearizedParams) -> float:
     """Largest eigenvalue of G^H G at one wavenumber."""
-    _, w1, w2 = _omegas(float(xi), params)
+    w1, w2 = _omegas(*_sines(float(xi)), params)
     return float(_gram_extremes(w1, w2, params.kappa))
 
 
@@ -157,8 +179,7 @@ def spectral_radius_scan(params: LinearizedParams, n_samples: int = 4096) -> Spe
     """Scan xi_j = 2*pi*j/n_samples, j = 0..n_samples-1, for both spectra."""
     if n_samples < 64:
         raise ValueError("n_samples must be >= 64")
-    xi = 2.0 * np.pi * np.arange(n_samples) / n_samples
-    theta, w1, w2 = _omegas(xi, params)
+    w1, w2 = _omegas(*_wavenumber_grid(n_samples), params)
     radius = _spectral_radius(w1, w2, params.kappa)
     gram = _gram_extremes(w1, w2, params.kappa)
     return SpectrumScan(max_radius=float(radius.max()), max_gram=float(gram.max()),
@@ -271,6 +292,37 @@ def stability_verdict(params: LinearizedParams, n_samples: int = 4096,
     )
 
 
+def oracle_mismatches() -> tuple[int, list[str]]:
+    """Compare the closed-form necessary and criterion verdicts with the scan
+    on a 30 x 32 (alpha, beta) grid for seven (kappa, variant) cases.
+
+    A condition is skipped where beta lies within 1e-6 of its threshold;
+    elsewhere "beta <= threshold" must equal "scan maximum <= 1 + 1e-10".
+    Returns the number of points checked and one line per disagreement.
+    """
+    alphas = np.round(np.arange(1, 31) * 0.05, 10)
+    betas = np.round(np.arange(1, 33) * 0.05, 10)
+    cases = [(k, Variant.FULL_QGD) for k in (1.0, 7.0 / 3.0, 4.0)]
+    cases += [(k, Variant.SIMPLIFIED_QHD) for k in (0.0, 0.5, 1.0, 2.0)]
+    checked = 0
+    mismatches = []
+    for kappa, variant in cases:
+        for alpha in alphas:
+            nec_b = necessary_beta_max(float(alpha), kappa, variant)
+            crit_b = max_stable_beta(float(alpha), kappa, variant)
+            for beta in betas:
+                scan = spectral_radius_scan(
+                    LinearizedParams(float(alpha), float(beta), kappa, variant), 4096)
+                for name, threshold, peak in (("necessary", nec_b, scan.max_radius),
+                                              ("criterion", crit_b, scan.max_gram)):
+                    if abs(beta - threshold) > 1e-6 and \
+                            (beta <= threshold) != (peak <= 1.0 + 1e-10):
+                        mismatches.append(f"{name} mismatch at alpha={alpha} beta={beta} "
+                                          f"kappa={kappa} {variant.value}")
+                checked += 1
+    return checked, mismatches
+
+
 @dataclass
 class NormMonotonicityReport:
     """Outcome of the direct norm-monotonicity check on a periodic mesh."""
@@ -287,17 +339,16 @@ class NormMonotonicityReport:
     passed: bool
 
 
-def _norm(rho, u) -> float:
-    return math.sqrt(float(np.sum(np.abs(rho) ** 2 + np.abs(u) ** 2)))
+def _row_norms(rho, u) -> np.ndarray:
+    """Discrete L2 norm of each row of a (rows, n) batch."""
+    return np.sqrt(np.sum(np.abs(rho) ** 2 + np.abs(u) ** 2, axis=-1))
 
 
 def _worst_mode_data(params: LinearizedParams, n: int):
     """Fourier mode (on the n-point mesh) maximizing the Gram eigenvalue,
     seeded with the corresponding top eigenvector."""
-    modes = 2.0 * np.pi * np.arange(n) / n
-    _, w1, w2 = _omegas(modes, params)
-    gains = _gram_extremes(w1, w2, params.kappa)
-    xi_star = float(modes[int(np.argmax(gains))])
+    gains = _gram_extremes(*_omegas(*_wavenumber_grid(n), params), params.kappa)
+    xi_star = 2.0 * np.pi * int(np.argmax(gains)) / n
     m = gram_matrix(xi_star, params)
     eigvals, eigvecs = np.linalg.eigh(m)
     top = eigvecs[:, int(np.argmax(eigvals))]
@@ -313,6 +364,8 @@ def verify_norm_monotonicity(params: LinearizedParams, n: int = 128, steps: int 
     Inside the criterion every trial's norm must be non-increasing step by
     step.  Outside it by a margin of at least 5%, the worst-mode trial must
     grow.  Raises ReportFailure when the applicable assertion is violated.
+    All trials advance together as one (rows, n) batch of linearized steps;
+    trial 0 is the worst mode when the criterion fails.
     """
     rng = np.random.default_rng(seed)
     threshold = max_stable_beta(params.alpha, params.kappa, params.variant)
@@ -326,17 +379,20 @@ def verify_norm_monotonicity(params: LinearizedParams, n: int = 128, steps: int 
         datasets.append((rng.standard_normal(n) + 1j * rng.standard_normal(n),
                          rng.standard_normal(n) + 1j * rng.standard_normal(n)))
 
+    rho = np.array([d[0] for d in datasets], dtype=complex).reshape(-1, n)
+    u = np.array([d[1] for d in datasets], dtype=complex).reshape(-1, n)
+    norms = [_row_norms(rho, u)]
+    for _ in range(steps):
+        rho, u = linearized_step(rho, u, params)
+        norms.append(_row_norms(rho, u))
+
     violations = []
     max_step_ratio = 0.0
     max_total_growth = 0.0
-    for trial, (rho0, u0) in enumerate(datasets):
-        rho, u = rho0, u0
-        norm0 = _norm(rho, u)
-        prev = norm0
+    for trial, history in enumerate(np.array(norms).T.tolist()):
+        norm0 = prev = history[0]
         best = 1.0
-        for m in range(1, steps + 1):
-            rho, u = linearized_step(rho, u, params)
-            cur = _norm(rho, u)
+        for m, cur in enumerate(history[1:], start=1):
             if prev > 0.0:
                 ratio = cur / prev
                 max_step_ratio = max(max_step_ratio, ratio)

@@ -29,6 +29,7 @@ from qgd1d import (
     max_stable_beta,
     necessary_beta_max,
     optimal_alpha,
+    oracle_mismatches,
     riemann_initial,
     run_simulation,
     spectral_radius_scan,
@@ -68,27 +69,9 @@ def test_criterion_1_optimal_alpha_closed_form():
 
 
 def test_criterion_2_oracle_matches_closed_forms():
-    alphas = np.round(np.arange(1, 31) * 0.05, 10)
-    betas = np.round(np.arange(1, 33) * 0.05, 10)
-    cases = [(k, QGD) for k in (1.0, 7.0 / 3.0, 4.0)]
-    cases += [(a_s, QHD) for a_s in (0.0, 0.5, 1.0, 2.0)]
-    checked = disagreements = 0
-    for kappa, variant in cases:
-        for alpha in alphas:
-            nec_b = necessary_beta_max(float(alpha), kappa, variant)
-            crit_b = max_stable_beta(float(alpha), kappa, variant)
-            for beta in betas:
-                scan = spectral_radius_scan(
-                    LinearizedParams(float(alpha), float(beta), kappa, variant), 4096)
-                if abs(beta - nec_b) > 1e-6:
-                    if (beta <= nec_b) != (scan.max_radius <= 1.0 + 1e-10):
-                        disagreements += 1
-                if abs(beta - crit_b) > 1e-6:
-                    if (beta <= crit_b) != (scan.max_gram <= 1.0 + 1e-10):
-                        disagreements += 1
-                checked += 1
+    checked, mismatches = oracle_mismatches()
     assert checked > 6000
-    assert disagreements == 0
+    assert mismatches == []
     _report(f"criterion 2: oracle equivalence on {checked} parameter points")
 
 

@@ -2,10 +2,18 @@
 
 import csv
 import json
+import math
+import os
+import subprocess
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import qgd1d
 from qgd1d.cli import (
+    DEFAULT_CONFIG,
     apply_overrides,
     build_mesh,
     build_model,
@@ -69,6 +77,24 @@ class TestConfig:
         with pytest.raises(ConfigError, match="unknown key"):
             apply_overrides(cfg, ["scheme.nope=1"])
 
+    @pytest.mark.parametrize("override, key", [
+        ("gas.gamma=NaN", "gas.gamma"),
+        ("scheme.beta=Infinity", "scheme.beta"),
+        ("scheme.alpha=NaN", "scheme.alpha"),
+        ("gas.p1=1" + "0" * 400, "gas.p1"),
+        ("mesh.n=1" + "0" * 400, "mesh.n"),
+        ("experiment.record_every=true", "experiment.record_every"),
+        ("sweep.alphas=[0.4, -Infinity]", "sweep.alphas"),
+        ("sweep.betas=[NaN]", "sweep.betas"),
+    ])
+    def test_non_finite_numbers_rejected(self, override, key):
+        with pytest.raises(ConfigError, match=key):
+            apply_overrides(validate_config({}), [override])
+
+    def test_override_below_a_value_rejected(self):
+        with pytest.raises(ConfigError, match="already set"):
+            apply_overrides(validate_config({}), ["scheme=1", "scheme.alpha=0.5"])
+
     def test_load_config_reports_json_position(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{\n  "scheme": {\n}', encoding="utf-8")
@@ -78,6 +104,50 @@ class TestConfig:
     def test_load_missing_file(self):
         with pytest.raises(ConfigError):
             load_config("/no/such/file.json")
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.floats() | st.text(max_size=6)
+    | st.integers(min_value=-(2**1100), max_value=2**1100),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=2),
+    max_leaves=5,
+)
+_OVERRIDE_KEYS = (
+    st.sampled_from([f"{section}.{key}" for section, body in DEFAULT_CONFIG.items() for key in body])
+    | st.sampled_from(sorted(DEFAULT_CONFIG))
+    | st.text(alphabet="acehmnps.", max_size=10)
+)
+_OVERRIDES = st.tuples(_OVERRIDE_KEYS, _JSON_VALUES.map(json.dumps) | st.text(max_size=6)).map("=".join)
+
+
+def _numbers(node):
+    if isinstance(node, dict):
+        node = list(node.values())
+    if isinstance(node, list):
+        for item in node:
+            yield from _numbers(item)
+    elif isinstance(node, (int, float)) and not isinstance(node, bool):
+        yield node
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_OVERRIDES, max_size=4))
+def test_overrides_raise_only_config_error_and_keep_numbers_finite(items):
+    try:
+        cfg = apply_overrides(validate_config({}), items)
+    except ConfigError:
+        return
+    for number in _numbers(cfg):
+        assert math.isfinite(number)
+
+
+def test_cli_import_leaves_scipy_out():
+    src = os.path.dirname(os.path.dirname(qgd1d.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, qgd1d.cli; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60, check=True).stdout
+    assert out.strip() == "False"
 
 
 def _parse_field(text):
@@ -193,6 +263,14 @@ class TestStability:
         assert main(["stability", "--alpha", "0.5", "--beta", "0.5",
                      "--kappa", "0.5", "--variant", "qgd"]) == 1
         assert "kappa" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, value", [("alpha", "nan"), ("beta", "inf"), ("kappa", "nan"),
+                                             ("kappa", "inf")])
+    def test_non_finite_parameter_exit_one(self, name, value, capsys):
+        args = {"alpha": "0.5", "beta": "0.5", "kappa": "1", name: value}
+        argv = ["stability"] + [item for key, v in args.items() for item in (f"--{key}", v)]
+        assert main(argv) == 1
+        assert f"{name} must be finite" in capsys.readouterr().err
 
     def test_csv_export(self, tmp_path):
         csv_path = tmp_path / "verdict.csv"

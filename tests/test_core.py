@@ -44,6 +44,14 @@ class TestPressure:
         with pytest.raises(NonPositiveDensity):
             model.pressure(np.array([1.0, -0.5]))
 
+    @pytest.mark.parametrize("p1, gamma, r0", [
+        (float("nan"), 2.0, 0.0), (float("inf"), 2.0, 0.0), (1.0, float("nan"), 0.0),
+        (1.0, float("inf"), 0.0), (1.0, 2.0, float("nan")), (1.0, 2.0, float("inf")),
+    ])
+    def test_rejects_non_finite_parameters(self, p1, gamma, r0):
+        with pytest.raises(ValueError, match="finite"):
+            GasModel.isentropic(p1=p1, gamma=gamma, r0=r0)
+
     def test_tabulated_monotonicity_checked(self):
         bad = GasModel(TabulatedLaw(p=lambda r: -r, p_prime=lambda r: -np.ones_like(np.asarray(r))), r0=0.5)
         with pytest.raises(NonMonotonePressure):

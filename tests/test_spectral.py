@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qgd1d import spectral
 from qgd1d import (
     InvalidKappa,
     LengthMismatch,
@@ -67,6 +70,24 @@ class TestLinearizedStep:
         p = LinearizedParams(0.5, 1.0, 1.0)
         with pytest.raises(LengthMismatch):
             linearized_step(np.zeros(4), np.zeros(5), p)
+
+    def test_rank_and_shape_checked(self):
+        p = LinearizedParams(0.5, 1.0, 1.0)
+        with pytest.raises(LengthMismatch):
+            linearized_step(np.zeros((2, 4)), np.zeros((4, 2)), p)
+        with pytest.raises(LengthMismatch):
+            linearized_step(np.zeros((2, 2, 4)), np.zeros((2, 2, 4)), p)
+
+    def test_batched_rows_equal_single_steps(self):
+        p = LinearizedParams(0.35, 0.7, 7.0 / 3.0)
+        rng = np.random.default_rng(11)
+        rho = rng.standard_normal((5, 48)) + 1j * rng.standard_normal((5, 48))
+        u = rng.standard_normal((5, 48)) + 1j * rng.standard_normal((5, 48))
+        rho_b, u_b = linearized_step(rho, u, p)
+        for row in range(5):
+            rho_1, u_1 = linearized_step(rho[row], u[row], p)
+            assert np.array_equal(rho_b[row], rho_1)
+            assert np.array_equal(u_b[row], u_1)
 
     def test_matches_modewise_matrix_powers(self):
         # m steps equal the inverse transform of G(xi)^m applied per mode
@@ -139,7 +160,40 @@ class TestGram:
         assert gram_max_eigen(0.0, LinearizedParams(0.9, 1.4, 4.0)) == pytest.approx(1.0)
 
 
+def _reference_scan(params, n_samples):
+    """The scan with its own wavenumber grid, built at every call."""
+    xi = 2.0 * np.pi * np.arange(n_samples) / n_samples
+    theta = np.sin(xi / 2.0) ** 2
+    w1 = 4.0 * params.alpha * params.beta * theta
+    w2 = params.beta * np.sin(xi)
+    radius = spectral._spectral_radius(w1, w2, params.kappa)
+    gram = spectral._gram_extremes(w1, w2, params.kappa)
+    return float(radius.max()), float(gram.max())
+
+
+@st.composite
+def _linearized_params(draw):
+    variant = draw(st.sampled_from([QGD, QHD]))
+    kappa = draw(st.floats(1.0 if variant is QGD else 0.0, 5.0))
+    alpha = draw(st.floats(0.01, 2.0))
+    beta = draw(st.floats(0.01, 2.0))
+    return LinearizedParams(alpha, beta, kappa, variant)
+
+
 class TestScan:
+    @settings(max_examples=80, deadline=None)
+    @given(_linearized_params(), st.sampled_from([64, 512, 4096]))
+    def test_shared_grid_equals_per_call_reference(self, params, n_samples):
+        scan = spectral_radius_scan(params, n_samples)
+        assert (scan.max_radius, scan.max_gram) == _reference_scan(params, n_samples)
+
+    def test_shared_grid_is_read_only(self):
+        theta, sin_xi = spectral._wavenumber_grid(256)
+        for grid in (theta, sin_xi):
+            with pytest.raises(ValueError):
+                grid[0] = 1.0
+        assert spectral._wavenumber_grid(256)[0] is theta
+
     def test_boundary_case_is_marginal(self):
         scan = spectral_radius_scan(LinearizedParams(0.5, 1.0, 1.0), 4096)
         assert scan.max_radius == pytest.approx(1.0, abs=1e-12)
@@ -281,3 +335,77 @@ class TestLemma1:
                           trials=2, seed=3, step_tol=-0.5)
         assert err.value.report is not None
         assert err.value.report.violations
+
+
+def _serial_norm_check(params, n, steps, trials, seed, step_tol=1e-12, growth_tol=1e-6):
+    """The norm check as a loop over trials, each stepped alone on 1D arrays."""
+    rng = np.random.default_rng(seed)
+    threshold = max_stable_beta(params.alpha, params.kappa, params.variant)
+    criterion = params.beta <= threshold
+    margin = (not criterion) and params.beta >= 1.05 * threshold
+    datasets = []
+    if not criterion:
+        modes = 2.0 * np.pi * np.arange(n) / n
+        theta = np.sin(modes / 2.0) ** 2
+        gains = spectral._gram_extremes(4.0 * params.alpha * params.beta * theta,
+                                        params.beta * np.sin(modes), params.kappa)
+        xi_star = float(modes[int(np.argmax(gains))])
+        eigvals, eigvecs = np.linalg.eigh(gram_matrix(xi_star, params))
+        top = eigvecs[:, int(np.argmax(eigvals))]
+        phase = np.exp(1j * xi_star * np.arange(n))
+        datasets.append((top[0] * phase, top[1] * phase))
+    for _ in range(trials):
+        datasets.append((rng.standard_normal(n) + 1j * rng.standard_normal(n),
+                         rng.standard_normal(n) + 1j * rng.standard_normal(n)))
+
+    def norm(rho, u):
+        return math.sqrt(float(np.sum(np.abs(rho) ** 2 + np.abs(u) ** 2)))
+
+    violations = []
+    max_step_ratio = max_total_growth = 0.0
+    for trial, (rho, u) in enumerate(datasets):
+        norm0 = prev = norm(rho, u)
+        best = 1.0
+        for m in range(1, steps + 1):
+            rho, u = linearized_step(rho, u, params)
+            cur = norm(rho, u)
+            if prev > 0.0:
+                ratio = cur / prev
+                max_step_ratio = max(max_step_ratio, ratio)
+                if criterion and ratio > 1.0 + step_tol:
+                    violations.append((trial, m, ratio))
+            if norm0 > 0.0:
+                best = max(best, cur / norm0)
+            prev = cur
+        max_total_growth = max(max_total_growth, best)
+    if criterion:
+        passed = not violations
+    elif margin:
+        passed = max_total_growth > 1.0 + growth_tol
+        if not passed:
+            violations.append(("worst-mode", steps, max_total_growth))
+    else:
+        passed = True
+    return max_step_ratio, max_total_growth, passed, violations
+
+
+@pytest.mark.parametrize("params, tols", [
+    (LinearizedParams(0.5, 0.9, 1.0), {}),                        # inside the criterion
+    (LinearizedParams(0.45, 1.1, 1.5, QHD), {}),                  # in the margin
+    (LinearizedParams(0.5, 1.02, 1.0), {}),                       # in the 5 % band
+    (LinearizedParams(0.3, 0.4, 2.0), {"step_tol": -5e-3}),       # failing inside
+    (LinearizedParams(0.5, 1.1, 1.0), {"growth_tol": 1e9}),       # failing in the margin
+])
+def test_batched_norm_check_equals_serial_loop(params, tols):
+    expect = _serial_norm_check(params, n=64, steps=80, trials=3, seed=5, **tols)
+    try:
+        report = verify_norm_monotonicity(params, n=64, steps=80, trials=3, seed=5, **tols)
+    except ReportFailure as exc:
+        report = exc.report
+        assert not report.passed
+    got = (report.max_step_ratio, report.max_total_growth, report.passed, report.violations)
+    assert got == expect
+    if tols.get("step_tol"):
+        # some steps but not all violate, and they are listed in (trial, step) order
+        assert 0 < len(report.violations) < 3 * 80
+        assert [v[:2] for v in report.violations] == sorted(v[:2] for v in report.violations)
