@@ -25,6 +25,15 @@ def _check_density(rho) -> np.ndarray:
     return arr
 
 
+def _power(x: np.ndarray, e: float, out: np.ndarray) -> np.ndarray:
+    """out = x ** e through the ** operator itself: it routes exponents such
+    as 2.0 and 1.0 to np.square and a copy, which np.power(x, e, out=out)
+    need not match bit for bit."""
+    np.copyto(out, x)
+    out **= e
+    return out
+
+
 @dataclass(frozen=True)
 class IsentropicLaw:
     """Power law p(rho) = p1 * rho**gamma with p1 > 0, gamma > 1."""
@@ -74,15 +83,8 @@ class GasModel:
     def pressure(self, rho: FloatOrArray):
         """Return (p(rho), p'(rho)); raises if rho <= 0 or p' <= 0."""
         arr = _check_density(rho)
-        if isinstance(self.law, IsentropicLaw):
-            p1, g = self.law.p1, self.law.gamma
-            p = p1 * arr**g
-            dp = g * p1 * arr ** (g - 1.0)
-        else:
-            p = np.asarray(self.law.p(arr), dtype=float)
-            dp = np.asarray(self.law.p_prime(arr), dtype=float)
-            if not np.all(dp > 0.0):
-                raise NonMonotonePressure("pressure law returned p'(rho) <= 0")
+        p, dp = np.empty_like(arr), np.empty_like(arr)
+        self._evaluate(arr, p=p, dp=dp)
         if np.ndim(rho) == 0:
             return float(p), float(dp)
         return p, dp
@@ -90,32 +92,57 @@ class GasModel:
     def enthalpy(self, rho: FloatOrArray):
         """Return (h(rho), h'(rho)) with h'(rho) = p'(rho)/rho."""
         arr = _check_density(rho)
-        if isinstance(self.law, IsentropicLaw):
-            p1, g = self.law.p1, self.law.gamma
-            coeff = g / (g - 1.0)
-            h = coeff * p1 * arr ** (g - 1.0)
-            if self.r0 > 0.0:
-                h = h - coeff * p1 * self.r0 ** (g - 1.0)
-            hp = g * p1 * arr ** (g - 2.0)
-        else:
+        h, hp = np.empty_like(arr), np.empty_like(arr)
+        self._evaluate(arr, h=h, hp=hp)
+        if np.ndim(rho) == 0:
+            return float(h), float(hp)
+        return h, hp
+
+    def _evaluate(self, arr: np.ndarray, p=None, dp=None, h=None, hp=None) -> None:
+        """p, p', h and h' of the positive float array arr, unchecked, into
+        the arrays given (of arr's shape); an output left None is skipped.
+
+        The isentropic p' and h share one arr**(gamma-1).  A tabulated law
+        still checks p' > 0.
+        """
+        law = self.law
+        if isinstance(law, IsentropicLaw):
+            p1, g = law.p1, law.gamma
+            if p is not None:
+                np.multiply(_power(arr, g, p), p1, out=p)
+            if h is not None:
+                pw = _power(arr, g - 1.0, h)
+                if dp is not None:
+                    np.multiply(pw, g * p1, out=dp)
+                coeff = g / (g - 1.0)
+                h *= coeff * p1
+                if self.r0 > 0.0:
+                    h -= coeff * p1 * self.r0 ** (g - 1.0)
+            elif dp is not None:
+                np.multiply(_power(arr, g - 1.0, dp), g * p1, out=dp)
+            if hp is not None:
+                np.multiply(_power(arr, g - 2.0, hp), g * p1, out=hp)
+            return
+        if h is not None:
             if self.r0 <= 0.0:
                 raise ValueError("a tabulated law needs r0 > 0 to anchor the enthalpy integral")
             # imported here: scipy takes longer to import than the rest of the
             # package, and only this branch needs it
             from scipy.integrate import quad
 
-            flat = np.atleast_1d(arr).ravel()
-            vals = [
-                quad(lambda r: float(self.law.p_prime(r)) / r, self.r0, x,
-                     epsabs=1e-12, epsrel=1e-12)[0]
-                for x in flat
-            ]
-            h = np.array(vals).reshape(np.shape(arr))
-            _, dp = self.pressure(arr)
-            hp = dp / arr
-        if np.ndim(rho) == 0:
-            return float(h), float(hp)
-        return h, hp
+            h[...] = np.reshape([quad(lambda r: float(law.p_prime(r)) / r, self.r0, x,
+                                      epsabs=1e-12, epsrel=1e-12)[0]
+                                 for x in np.ravel(arr)], np.shape(arr))
+        if p is not None:
+            p[...] = law.p(arr)
+        if dp is not None or hp is not None:
+            dp_val = np.asarray(law.p_prime(arr), dtype=float)
+            if not np.all(dp_val > 0.0):
+                raise NonMonotonePressure("pressure law returned p'(rho) <= 0")
+            if dp is not None:
+                dp[...] = dp_val
+            if hp is not None:
+                np.divide(dp_val, arr, out=hp)
 
     def sound_speed(self, rho: FloatOrArray):
         """sqrt(p'(rho))."""

@@ -51,15 +51,23 @@ def _csv_text(header, rows) -> str:
     return buf.getvalue()
 
 
+def _float_csv_text(header, columns) -> str:
+    """_csv_text of equal-length float columns: _fmt writes a float as its
+    repr, and no such field needs quoting."""
+    line = ",".join(["%r"] * len(columns)) + "\n"
+    rows = zip(*(np.asarray(c, dtype=float).tolist() for c in columns))
+    return ",".join(header) + "\n" + "".join(map(line.__mod__, rows))
+
+
 def write_snapshot_csv(path: str, state: MeshState) -> None:
-    rows = zip(state.mesh.nodes, state.rho, state.u)
-    atomic_write_text(path, _csv_text(["x", "rho", "u"], rows))
+    columns = (state.mesh.nodes, state.rho, state.u)
+    atomic_write_text(path, _float_csv_text(["x", "rho", "u"], columns))
 
 
 def write_diagnostics_csv(path: str, traj: Trajectory) -> None:
     d = traj.diagnostics
-    rows = zip(d.t, d.mass, d.momentum, d.min_rho, d.max_abs_u)
-    atomic_write_text(path, _csv_text(["t", "mass", "momentum", "min_rho", "max_abs_u"], rows))
+    atomic_write_text(path, _float_csv_text(["t", "mass", "momentum", "min_rho", "max_abs_u"],
+                                            (d.t, d.mass, d.momentum, d.min_rho, d.max_abs_u)))
 
 
 def write_region_csv(path: str, region: RegionMap) -> None:
@@ -155,7 +163,10 @@ class _Frame:
         return parts
 
     def polyline(self, xs, ys, dash: str = "", color: str = "black") -> str:
-        pts = " ".join(f"{self.px(x):.2f},{self.py(y):.2f}" for x, y in zip(xs, ys))
+        # px and py map whole float arrays by the same operations as one point
+        pxs = self.px(np.asarray(xs, dtype=float)).tolist()
+        pys = self.py(np.asarray(ys, dtype=float)).tolist()
+        pts = " ".join(map("{:.2f},{:.2f}".format, pxs, pys))
         dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
         return f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"{dash_attr}/>'
 

@@ -11,6 +11,12 @@ One private kernel evaluates both schemes along the last axis of (rows, n)
 node arrays, so independent runs on one mesh advance in one call: it backs
 `step_batch`, the batched run loop `run_batch` (whose one-row case is
 `run_simulation`) and the single-state `step_standard`/`step_enthalpy`.
+It writes every temporary into the preallocated buffers of a `_Workspace`
+(one per run_batch, re-used by every step; a throwaway one otherwise),
+evaluates the gas model unchecked after one positivity check of the input
+density, and returns fresh arrays.  run_batch finds overflow from the
+per-step diagnostics it records anyway: min_rho > 0, max(rho) < inf and a
+finite max|u|.
 
 Half-mesh arrays hold values at x_{k-1/2}, k = 0..n.  On nodes padded with
 one ghost per side, (s v)_{k-1/2} = (v_{k-1} + v_k)/2 and
@@ -26,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, LengthMismatch, NonPositiveDensity
-from .gas import GasModel
+from .gas import GasModel, _check_density
 from .mesh import Boundary, Mesh, MeshState
 from .regularization import SchemeConfig, SchemeKind, Variant
 
@@ -45,67 +51,105 @@ class HalfMeshFluxes:
     pi: np.ndarray
 
 
-def _pad(v: np.ndarray, boundary: Boundary) -> np.ndarray:
-    """v with one ghost node on each end of its last axis."""
+def _pad(v: np.ndarray, boundary: Boundary, out: np.ndarray) -> np.ndarray:
+    """v with one ghost node on each end of its last axis, into out."""
     if boundary is Boundary.PERIODIC:
-        return np.concatenate((v[..., -1:], v, v[..., :1]), axis=-1)
-    return np.concatenate((v[..., :1], v, v[..., -1:]), axis=-1)
+        return np.concatenate((v[..., -1:], v, v[..., :1]), axis=-1, out=out)
+    return np.concatenate((v[..., :1], v, v[..., -1:]), axis=-1, out=out)
 
 
-def _avg(v: np.ndarray) -> np.ndarray:
-    """s on padded node arrays, node_avg on half-mesh arrays."""
-    return 0.5 * (v[..., :-1] + v[..., 1:])
+def _avg(v: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """s on padded node arrays, node_avg on half-mesh arrays, into out."""
+    return np.multiply(np.add(v[..., :-1], v[..., 1:], out=out), 0.5, out=out)
 
 
-def _diff(v: np.ndarray, h: float) -> np.ndarray:
-    """diff on padded node arrays, node_diff on half-mesh arrays."""
-    return (v[..., 1:] - v[..., :-1]) / h
+def _diff(v: np.ndarray, h: float, out: np.ndarray) -> np.ndarray:
+    """diff on padded node arrays, node_diff on half-mesh arrays, into out."""
+    return np.divide(np.subtract(v[..., 1:], v[..., :-1], out=out), h, out=out)
+
+
+class _Workspace:
+    """The kernel's temporaries for node arrays of shape (..., n): 5 padded
+    (n + 2), 12 half-mesh (n + 1) and 2 node arrays.  Arrays with fewer
+    leading rows get leading-row views; any other shape re-sizes it.  The
+    kernel writes every buffer before reading it, so nothing carries over."""
+
+    def __init__(self, shape: tuple[int, ...]):
+        *lead, n = self.shape = tuple(shape)
+        self._buffers = [np.empty((k, *lead, n + g)) for k, g in ((5, 2), (12, 1), (2, 0))]
+
+    def views(self, shape: tuple[int, ...]) -> list[np.ndarray]:
+        """The padded, half-mesh and node buffers for node arrays of shape."""
+        if not (len(shape) == len(self.shape) and shape[-1] == self.shape[-1]
+                and all(k <= cap for k, cap in zip(shape[:-1], self.shape[:-1]))):
+            self.__init__(shape)
+        rows = (slice(None),) + tuple(slice(k) for k in shape[:-1])
+        return [b[rows] for b in self._buffers]
 
 
 def _half_mesh(kind: SchemeKind, rho: np.ndarray, u: np.ndarray, model: GasModel,
-               cfg: SchemeConfig, mesh: Mesh, alpha):
+               cfg: SchemeConfig, mesh: Mesh, alpha, padded, half):
     """Half-mesh terms of one scheme along the last axis of rho and u, by
-    the formulas of fluxes_standard / fluxes_enthalpy.
+    the formulas of fluxes_standard / fluxes_enthalpy, in the padded and
+    half-mesh buffers of a _Workspace; rho must be positive.  Each product
+    and sum keeps the operand grouping of those formulas (operands of one
+    product or sum may swap), so results do not depend on the buffers.
 
     Returns (j, pi, (s rho) w, (s rho) w_hat, s rho, s u, extra), where extra
     is what the momentum update adds beyond the fluxes: p(s rho) for the
     standard scheme and diff(h(rho)) for the enthalpy scheme.
     """
     h = mesh.h
-    rho_p, u_p = _pad(rho, mesh.boundary), _pad(u, mesh.boundary)
-    srho, su, du = _avg(rho_p), _avg(u_p), _diff(u_p, h)
-    p, dp = model.pressure(rho_p)
-    tau = alpha * h / np.sqrt(dp)
-    stau = _avg(tau)
-    p_half, pp_half = model.pressure(srho)
-    mu_half = cfg.alpha_s * stau * srho * pp_half
+    rho_p, u_p, q, tau, hp = padded
+    srho, su, du, stau, pp_half, pi, j, srho_what, srho_w, x, y, dq = half
+    _pad(rho, mesh.boundary, rho_p)
+    _pad(u, mesh.boundary, u_p)
+    _avg(rho_p, srho)
+    _avg(u_p, su)
+    _diff(u_p, h, du)
+    standard = kind is SchemeKind.STANDARD
     full = cfg.regularization is Variant.FULL_QGD
-    if kind is SchemeKind.STANDARD:
-        srho_what = stau * (srho * su * du + _diff(p, h))
-        pi = mu_half * du + su * srho_what
-        srho_w = srho_what
-        if full:
-            drhou = _diff(rho_p * u_p, h)
-            srho_w = stau * drhou * su + srho_what
-            pi = pi + stau * pp_half * drhou
-        extra = p_half
+    # q is p(rho) for the standard scheme, h(rho) for the enthalpy scheme
+    if standard:
+        model._evaluate(rho_p, p=q, dp=tau)
     else:
-        h_p, hp_p = model.enthalpy(rho_p)
-        dh = _diff(h_p, h)
-        srho_what = srho * (stau * (su * du + dh))
-        pi = mu_half * du + su * srho_what
+        model._evaluate(rho_p, dp=tau, h=q, hp=hp if full else None)
+    np.divide(alpha * h, np.sqrt(tau, out=tau), out=tau)
+    _avg(tau, stau)
+    model._evaluate(srho, p=y if standard else None, dp=pp_half)
+    np.multiply(stau, cfg.alpha_s, out=pi)       # mu_half, then pi
+    pi *= srho
+    pi *= pp_half
+    # (s rho) w_hat = (s tau) [(s rho)(s u) diff(u) + diff(p)], standard, or
+    # (s rho) (s tau) [(s u) diff(u) + diff(h)], enthalpy; j starts as (s rho)(s u)
+    np.multiply(srho, su, out=j)
+    np.multiply(j if standard else su, du, out=srho_what)
+    srho_what += _diff(q, h, dq)
+    srho_what *= stau
+    if not standard:
+        srho_what *= srho
+    pi *= du
+    pi += np.multiply(su, srho_what, out=x)
+    if full and standard:                        # the diff(rho u) terms
+        drhou = _diff(np.multiply(rho_p, u_p, out=q), h, dq)
+        np.multiply(np.multiply(stau, drhou, out=srho_w), su, out=srho_w)
+        srho_w += srho_what
+        pi += np.multiply(np.multiply(stau, pp_half, out=x), drhou, out=x)
+    elif full:                                   # the T terms
+        t_half = _avg(np.divide(tau, hp, out=hp), y)
+        t_half *= np.add(np.multiply(dq, su, out=x), np.multiply(pp_half, du, out=srho_w), out=x)
+        pi += np.multiply(pp_half, t_half, out=x)
+        np.add(np.multiply(t_half, su, out=srho_w), srho_what, out=srho_w)
+    else:
         srho_w = srho_what
-        if full:
-            t_half = _avg(tau / hp_p) * (dh * su + pp_half * du)
-            pi = pi + pp_half * t_half
-            srho_w = t_half * su + srho_what
-        extra = dh
-    return srho * su - srho_w, pi, srho_w, srho_what, srho, su, extra
+    j -= srho_w
+    return j, pi, srho_w, srho_what, srho, su, y if standard else dq
 
 
 def _fluxes(kind: SchemeKind, state: MeshState, model: GasModel, cfg: SchemeConfig) -> HalfMeshFluxes:
+    padded, half, _ = _Workspace(state.rho.shape).views(state.rho.shape)
     j, pi, srho_w, srho_what, srho, _, _ = _half_mesh(kind, state.rho, state.u, model, cfg,
-                                                      state.mesh, cfg.alpha)
+                                                      state.mesh, cfg.alpha, padded, half)
     return HalfMeshFluxes(j=j, w=srho_w / srho, w_hat=srho_what / srho, pi=pi)
 
 
@@ -136,38 +180,53 @@ def fluxes_enthalpy(state: MeshState, model: GasModel, cfg: SchemeConfig) -> Hal
 
 
 def _step_rows(kind: SchemeKind, rho: np.ndarray, u: np.ndarray, model: GasModel,
-               cfg: SchemeConfig, mesh: Mesh, alpha, dt):
-    """The stepping kernel: new (rho, u) along the last axis, unchecked, by
-    the updates of step_standard / step_enthalpy.
+               cfg: SchemeConfig, mesh: Mesh, alpha, dt, work: _Workspace | None = None):
+    """The stepping kernel: new (rho, u) along the last axis as fresh arrays,
+    by the updates of step_standard / step_enthalpy.
 
-    numpy stays silent while a row overflows: callers detect it by checking
-    the density and finiteness of each row.
+    A non-positive input density raises NonPositiveDensity.  The new state
+    is unchecked and numpy stays silent while a row overflows: callers
+    detect it by checking the density and finiteness of each row.
     """
+    _check_density(rho)
+    padded, half, (a, b) = (work or _Workspace(rho.shape)).views(rho.shape)
     with np.errstate(all="ignore"):
-        j, pi, _, _, srho, su, extra = _half_mesh(kind, rho, u, model, cfg, mesh, alpha)
+        j, pi, _, _, srho, su, extra = _half_mesh(kind, rho, u, model, cfg, mesh, alpha,
+                                                  padded, half)
         h = mesh.h
-        rho_new = rho - dt * _diff(j, h)
+        rho_new = rho - np.multiply(_diff(j, h, a), dt, out=a)
+        j *= su                                  # the momentum flux; j is not read again
         if kind is SchemeKind.STANDARD:
-            m_new = rho * u - dt * _diff(j * su + extra - pi, h)
-        else:
-            m_new = rho * u - dt * (_diff(j * su - pi, h) + _avg(srho * extra))
-        return rho_new, m_new / rho_new
+            j += extra
+        j -= pi
+        _diff(j, h, b)
+        if kind is SchemeKind.ENTHALPY:
+            extra *= srho
+            b += _avg(extra, a)
+        b *= dt
+        np.multiply(rho, u, out=a)
+        a -= b
+        return rho_new, a / rho_new
 
 
 def step_batch(rho: np.ndarray, u: np.ndarray, model: GasModel, cfg: SchemeConfig,
-               mesh: Mesh, alpha, dt) -> tuple[np.ndarray, np.ndarray]:
+               mesh: Mesh, alpha, dt, *, work: _Workspace | None = None
+               ) -> tuple[np.ndarray, np.ndarray]:
     """One step of cfg.scheme for every row of the (rows, n) node arrays rho, u.
 
     Rows are independent runs on one mesh.  alpha and dt take the place of
     cfg.alpha and cfg's time step; each is a scalar or a (rows, 1) column
-    with one value per row.  Returns the new (rho, u) without checking them:
-    a row whose density turned non-positive or a value non-finite has
-    overflowed, and numpy raises no warning for it.
+    with one value per row.  Returns the new (rho, u) as fresh arrays without
+    checking them: a row whose density turned non-positive or a value
+    non-finite has overflowed, and numpy raises no warning for it.  A
+    non-positive input density raises NonPositiveDensity.  work lends the
+    kernel its temporaries (run_batch keeps one per batch); it never changes
+    a result.
     """
     if rho.shape[-1] != mesh.n or np.shape(u) != rho.shape:
         raise LengthMismatch(f"expected rho and u of equal shape with last axis {mesh.n}, "
                              f"got {rho.shape} and {np.shape(u)}")
-    return _step_rows(cfg.scheme, rho, u, model, cfg, mesh, alpha, dt)
+    return _step_rows(cfg.scheme, rho, u, model, cfg, mesh, alpha, dt, work)
 
 
 def _step_state(kind: SchemeKind, state: MeshState, model: GasModel, cfg: SchemeConfig,
@@ -230,15 +289,15 @@ class Trajectory:
     note: str = ""
 
 
-def _diag_rows(t: np.ndarray, rho: np.ndarray, u: np.ndarray, h: float) -> list:
-    """One (t, mass, momentum, min_rho, max_abs_u) list per row."""
-    return np.stack((
-        t,
-        h * np.sum(rho, axis=-1),
-        h * np.sum(rho * u, axis=-1),
-        np.min(rho, axis=-1),
-        np.max(np.abs(u), axis=-1),
-    ), axis=-1).tolist()
+def _diagnostics(t: np.ndarray, rho: np.ndarray, u: np.ndarray, h: float,
+                 scratch: np.ndarray) -> np.ndarray:
+    """Columns t, mass, momentum, min_rho, max_abs_u and max(rho) per row, the
+    last for the overflow test only; the products go into scratch (rho's shape)."""
+    with np.errstate(all="ignore"):
+        return np.stack((t, h * np.sum(rho, axis=-1),
+                         h * np.sum(np.multiply(rho, u, out=scratch), axis=-1),
+                         np.min(rho, axis=-1), np.max(np.abs(u, out=scratch), axis=-1),
+                         np.max(rho, axis=-1)), axis=-1)
 
 
 def run_batch(initial: MeshState, model: GasModel, cfg: SchemeConfig, alphas, betas,
@@ -268,7 +327,8 @@ def run_batch(initial: MeshState, model: GasModel, cfg: SchemeConfig, alphas, be
     rho = np.tile(initial.rho, (live.size, 1))
     u = np.tile(initial.u, (live.size, 1))
     t = np.full(live.size, initial.t)
-    diag = [[row] for row in _diag_rows(t, rho, u, mesh.h)]
+    work, scratch = _Workspace(rho.shape), np.empty_like(rho)
+    diag = [[row] for row in _diagnostics(t, rho, u, mesh.h, scratch)[:, :5].tolist()]
     snapshots = [[(initial.t, initial)] for _ in live]
     steps = 0
     eps = 1e-12 * max(1.0, abs(t_end))
@@ -292,18 +352,19 @@ def run_batch(initial: MeshState, model: GasModel, cfg: SchemeConfig, alphas, be
         if not live.size:
             return
         step_dt = np.minimum(dts[live], t_end - t)
-        rho, u = step_batch(rho, u, model, cfg, mesh, alphas[live], step_dt[:, None])
+        rho, u = step_batch(rho, u, model, cfg, mesh, alphas[live], step_dt[:, None], work=work)
         t = t + step_dt
-        positive = np.all(rho > 0.0, axis=-1)
-        ok = positive & np.all(np.isfinite(rho), axis=-1) & np.all(np.isfinite(u), axis=-1)
+        d = _diagnostics(t, rho, u, mesh.h, scratch[:live.size])
+        # every density positive and every value finite; NaN fails min_rho > 0
+        ok = (d[:, 3] > 0.0) & (d[:, 5] < np.inf) & np.isfinite(d[:, 4])
         for k in np.flatnonzero(~ok):
-            note = (f"density became non-positive at t={float(t[k])}" if not positive[k]
+            note = (f"density became non-positive at t={float(t[k])}" if d[k, 3] <= 0.0
                     else f"non-finite value at t={float(t[k])}")
             yield finish(k, overflow=True, note=note)
         if not ok.all():
-            live, rho, u, t = live[ok], rho[ok], u[ok], t[ok]
+            live, rho, u, t, d = live[ok], rho[ok], u[ok], t[ok], d[ok]
         steps += 1
-        for r, row in zip(live.tolist(), _diag_rows(t, rho, u, mesh.h)):
+        for r, row in zip(live.tolist(), d[:, :5].tolist()):
             diag[r].append(row)
         if steps % record_every == 0:
             for k, r in enumerate(live.tolist()):

@@ -84,8 +84,11 @@ def linearized_step(rho, u, params: LinearizedParams):
     if rho.shape != u.shape or rho.ndim not in (1, 2):
         raise LengthMismatch("rho and u must be 1D or (rows, n) arrays of equal shape")
     a, b, k = params.alpha, params.beta, params.kappa
-    rho_p, rho_m = np.roll(rho, -1, axis=-1), np.roll(rho, 1, axis=-1)
-    u_p, u_m = np.roll(u, -1, axis=-1), np.roll(u, 1, axis=-1)
+    # the periodic neighbours v_{k+1} and v_{k-1}: np.roll(v, -1) and np.roll(v, 1)
+    rho_p = np.concatenate((rho[..., 1:], rho[..., :1]), axis=-1)
+    rho_m = np.concatenate((rho[..., -1:], rho[..., :-1]), axis=-1)
+    u_p = np.concatenate((u[..., 1:], u[..., :1]), axis=-1)
+    u_m = np.concatenate((u[..., -1:], u[..., :-1]), axis=-1)
     rho_new = rho - 0.5 * b * (u_p - u_m) + a * b * (rho_p - 2.0 * rho + rho_m)
     u_new = u - 0.5 * b * (rho_p - rho_m) + k * a * b * (u_p - 2.0 * u + u_m)
     return rho_new, u_new

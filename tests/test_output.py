@@ -1,0 +1,120 @@
+"""CSV and SVG text: the array-at-once formatting equals the per-value reference."""
+
+import csv
+import io
+import math
+
+import numpy as np
+import pytest
+
+from qgd1d import (
+    Boundary,
+    GasModel,
+    Mesh,
+    MeshState,
+    RiemannSetup,
+    SchemeConfig,
+    SchemeKind,
+    Variant,
+    run_simulation,
+    sweep_region,
+)
+from qgd1d import output
+from qgd1d.output import profile_svg, region_map_svg, write_diagnostics_csv, write_snapshot_csv
+
+MODEL = GasModel.isentropic(1.0, 2.0)
+
+
+def _reference_fmt(x):
+    if x is None:
+        return ""
+    if isinstance(x, float):
+        if math.isinf(x):
+            return "inf" if x > 0 else "-inf"
+        return repr(float(x))
+    return str(x)
+
+
+def _reference_csv(header, rows):
+    """One csv.writer row per record, each value through _reference_fmt."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([_reference_fmt(v) for v in row])
+    return buf.getvalue()
+
+
+def _reference_polyline(frame, xs, ys, dash="", color="black"):
+    """_Frame.polyline one point at a time through px and py."""
+    pts = " ".join(f"{frame.px(x):.2f},{frame.py(y):.2f}" for x, y in zip(xs, ys))
+    dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
+    return f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"{dash_attr}/>'
+
+
+def _awkward_state():
+    mesh = Mesh(n=9, h=0.125, x_min=-0.5, boundary=Boundary.OUTFLOW)
+    rho = np.array([1e-300, 0.1, 1.0 / 3.0, 2.0, 5e-324, 1.7976931348623157e308, 0.5, 3.0, 7.25])
+    u = np.array([-0.0, 0.0, 1e-300, math.inf, -math.inf, math.nan, -1.5, 1e22, 2.0 / 3.0])
+    return MeshState(mesh, rho, u)
+
+
+def test_snapshot_csv_equals_per_value_reference(tmp_path):
+    state = _awkward_state()
+    path = tmp_path / "snapshot.csv"
+    write_snapshot_csv(str(path), state)
+    want = _reference_csv(["x", "rho", "u"], zip(state.mesh.nodes, state.rho, state.u))
+    assert path.read_text(encoding="utf-8") == want
+    assert want.splitlines()[1] == "-0.5,1e-300,-0.0"
+
+
+def test_diagnostics_csv_equals_per_value_reference(tmp_path):
+    mesh = Mesh(n=40, h=0.025, boundary=Boundary.OUTFLOW)
+    x = mesh.nodes
+    initial = MeshState(mesh, np.where(x < 0.5, 1.0, 0.1), np.where(x < 0.5, 0.1, 0.0))
+    for beta in (0.4, 6.0):
+        cfg = SchemeConfig(alpha=0.4, beta=beta, alpha_s=4.0 / 3.0, scheme=SchemeKind.STANDARD)
+        traj = run_simulation(initial, MODEL, cfg, t_end=0.2)
+        path = tmp_path / f"diagnostics-{beta}.csv"
+        write_diagnostics_csv(str(path), traj)
+        d = traj.diagnostics
+        want = _reference_csv(["t", "mass", "momentum", "min_rho", "max_abs_u"],
+                              zip(d.t, d.mass, d.momentum, d.min_rho, d.max_abs_u))
+        assert path.read_text(encoding="utf-8") == want
+
+
+@pytest.mark.parametrize("columns", [
+    ([0.0, -0.0, 1e-300], [math.inf, -math.inf, math.nan]),
+    (np.linspace(-1.0, 1.0, 7), np.geomspace(1e-300, 1e300, 7)),
+    tuple(np.random.default_rng(3).standard_normal((2, 9000)) ** 3),
+])
+def test_float_csv_text_equals_per_value_reference(columns):
+    got = output._float_csv_text(["a", "b"], columns)
+    assert got == _reference_csv(["a", "b"], zip(*(np.asarray(c, dtype=float) for c in columns)))
+
+
+def test_profile_svg_equals_per_point_polyline(monkeypatch):
+    mesh = Mesh(n=300, h=1.0 / 299.0, x_min=-0.3, boundary=Boundary.OUTFLOW)
+    x = mesh.nodes
+    rng = np.random.default_rng(6)
+    state = MeshState(mesh, 1.0 + 0.3 * np.sin(7.0 * x) + 1e-3 * rng.uniform(size=300),
+                      -0.2 * np.cos(3.0 * x))
+    got = profile_svg(state, title="t=0.1")
+    monkeypatch.setattr(output._Frame, "polyline", _reference_polyline)
+    assert got == profile_svg(state, title="t=0.1")
+    # the pixel values themselves, not only their 2-decimal text
+    frame = output._Frame(70, 40, 520, 240, (float(x[0]), float(x[-1])), (0.6, 1.4))
+    assert frame.px(x).tolist() == [frame.px(v) for v in x]
+    assert frame.py(state.rho).tolist() == [frame.py(v) for v in state.rho]
+
+
+def test_region_map_svg_equals_per_point_polyline(monkeypatch):
+    setup = RiemannSetup(rho_left=1.0, u_left=0.1, rho_right=0.1, u_right=0.0,
+                         x0=0.0, x_min=-0.5, x_max=0.5, h=0.02, t_end=0.05)
+    cfg = SchemeConfig(alpha=0.4, beta=1.0, alpha_s=4.0 / 3.0, regularization=Variant.FULL_QGD,
+                       scheme=SchemeKind.ENTHALPY)
+    region = sweep_region(setup, MODEL, cfg, alphas=[0.3, 0.5, 0.9], betas=[0.5, 1.2],
+                          beta_mode="relative", record_every=5)
+    got = region_map_svg(region, title="demo")
+    monkeypatch.setattr(output._Frame, "polyline", _reference_polyline)
+    assert got == region_map_svg(region, title="demo")

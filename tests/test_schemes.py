@@ -16,6 +16,7 @@ from qgd1d import (
     NonPositiveDensity,
     SchemeConfig,
     SchemeKind,
+    TabulatedLaw,
     Variant,
     fluxes_enthalpy,
     fluxes_standard,
@@ -23,8 +24,10 @@ from qgd1d import (
     make_stepper,
     run_simulation,
     step_batch,
+    step_enthalpy,
     step_standard,
 )
+from qgd1d.schemes import _Workspace, run_batch
 
 MODEL = GasModel.isentropic(p1=1.0, gamma=2.0)
 
@@ -316,6 +319,66 @@ def test_step_batch_overflowing_row_is_silent():
     assert not (np.all(np.isfinite(rho_new[1])) and np.all(np.isfinite(u_new[1])))
 
 
+@pytest.mark.parametrize("kind", [SchemeKind.STANDARD, SchemeKind.ENTHALPY])
+@pytest.mark.parametrize("variant", [Variant.FULL_QGD, Variant.SIMPLIFIED_QHD])
+def test_step_batch_workspace_changes_nothing(kind, variant):
+    # one workspace reused across batches of other sizes gives exactly the
+    # steps of a fresh one, and a step never returns one of its buffers
+    cfg = SchemeConfig(alpha=1.0, beta=0.3, alpha_s=0.9, regularization=variant,
+                       scheme=kind, c_ref=1.5)
+    first = [periodic_state(n=24, h=0.05, seed=s) for s in range(5)]
+    other = [periodic_state(n=24, h=0.05, seed=s, amp=0.4, u_amp=0.6) for s in range(10, 13)]
+    mesh = first[0].mesh
+    alphas, dts = np.array([[0.2], [0.35], [0.5], [0.8], [1.1]]), 0.01
+    rho, u = np.stack([s.rho for s in first]), np.stack([s.u for s in first])
+    rho2, u2 = np.stack([s.rho for s in other]), np.stack([s.u for s in other])
+    work = _Workspace(rho.shape)
+    plain = step_batch(rho, u, MODEL, cfg, mesh, alphas, dts)
+    plain2 = step_batch(rho2, u2, MODEL, cfg, mesh, alphas[:3], dts)
+    for _ in range(2):
+        got = step_batch(rho, u, MODEL, cfg, mesh, alphas, dts, work=work)
+        got2 = step_batch(rho2, u2, MODEL, cfg, mesh, alphas[:3], dts, work=work)
+        for want, out in ((plain, got), (plain2, got2)):
+            assert all(np.array_equal(w, g) for w, g in zip(want, out))
+            assert not any(np.shares_memory(g, b) for g in out for b in work._buffers)
+    # a single state and another mesh size re-size the workspace
+    alone = make_stepper(cfg)(first[0], MODEL, cfg, dt=dts)
+    got = step_batch(first[0].rho, first[0].u, MODEL, cfg, mesh, cfg.alpha, dts, work=work)
+    assert np.array_equal(got[0], alone.rho) and np.array_equal(got[1], alone.u)
+    small = periodic_state(n=9, h=0.05, seed=4)
+    alone = make_stepper(cfg)(small, MODEL, cfg, dt=dts)
+    got = step_batch(small.rho[None], small.u[None], MODEL, cfg, small.mesh, cfg.alpha, dts,
+                     work=work)
+    assert np.array_equal(got[0][0], alone.rho) and np.array_equal(got[1][0], alone.u)
+
+
+@pytest.mark.parametrize("bad", [0.0, -0.2, math.nan])
+def test_step_batch_rejects_non_positive_input_density(bad):
+    state = periodic_state(n=16, h=0.1, seed=2)
+    cfg = SchemeConfig(alpha=0.4, beta=0.3, alpha_s=1.0, c_ref=1.5)
+    rho = np.stack([state.rho, state.rho])
+    rho[1, 7] = bad
+    with pytest.raises(NonPositiveDensity):
+        step_batch(rho, np.stack([state.u, state.u]), MODEL, cfg, state.mesh, 0.4, 0.01)
+
+
+@pytest.mark.parametrize("kind", [SchemeKind.STANDARD, SchemeKind.ENTHALPY])
+def test_tabulated_law_steps_like_the_isentropic_law(kind):
+    # p = rho**2 given as callables, with its enthalpy integrated by quad,
+    # against the closed form with the same anchor r0
+    tabulated = GasModel(TabulatedLaw(p=lambda r: np.asarray(r) ** 2,
+                                      p_prime=lambda r: 2.0 * np.asarray(r)), r0=0.5)
+    closed = GasModel.isentropic(p1=1.0, gamma=2.0, r0=0.5)
+    cfg = SchemeConfig(alpha=0.4, beta=0.3, alpha_s=1.0, scheme=kind, c_ref=1.5)
+    step = step_enthalpy if kind is SchemeKind.ENTHALPY else step_standard
+    a = b = periodic_state(n=16, h=0.1, seed=3)
+    for _ in range(3):
+        a, b = step(a, tabulated, cfg), step(b, closed, cfg)
+    assert np.allclose(a.rho, b.rho, rtol=0.0, atol=1e-10)
+    assert np.allclose(a.u, b.u, rtol=0.0, atol=1e-10)
+    assert not np.array_equal(a.u, periodic_state(n=16, h=0.1, seed=3).u)
+
+
 # ---------------------------------------------------------------------------
 # the driver
 
@@ -370,6 +433,47 @@ def test_run_matches_per_step_reference(kind, beta, boundary):
     assert [t for t, _ in traj.snapshots] == [s.t for s in snapshots]
     for (_, got), want in zip(traj.snapshots, snapshots):
         assert np.array_equal(got.rho, want.rho) and np.array_equal(got.u, want.u)
+
+
+@pytest.mark.parametrize("kind", [SchemeKind.STANDARD, SchemeKind.ENTHALPY])
+@pytest.mark.parametrize("variant", [Variant.FULL_QGD, Variant.SIMPLIFIED_QHD])
+def test_run_batch_rows_match_per_step_reference(kind, variant):
+    # the four rows leave at four different steps (two overflows, then two
+    # completions), so the later steps run on leading-row workspace views
+    mesh = Mesh(n=60, h=1.0 / 60.0, boundary=Boundary.OUTFLOW)
+    x = mesh.nodes
+    initial = MeshState(mesh, np.where(x < 0.5, 1.0, 0.1), np.where(x < 0.5, 0.1, 0.0))
+    cfg = SchemeConfig(alpha=0.4, beta=0.3, alpha_s=4.0 / 3.0, regularization=variant,
+                       scheme=kind)
+    alphas, betas = [0.3, 0.6, 0.4, 0.8], [0.2, 0.3, 1.1, 2.5]
+    rows = dict(run_batch(initial, MODEL, cfg, alphas, betas, t_end=0.15, record_every=3))
+    assert [rows[r].overflow for r in range(4)] == [False, False, True, True]
+    assert len({traj.steps for traj in rows.values()}) == 4
+    for r, traj in rows.items():
+        row_cfg = replace(cfg, alpha=alphas[r], beta=betas[r])
+        steps, overflow, diag_rows, snapshots = _reference_run(initial, row_cfg, 0.15, 3)
+        assert (traj.steps, traj.overflow) == (steps, overflow)
+        d = traj.diagnostics
+        assert list(zip(d.t, d.mass, d.momentum, d.min_rho, d.max_abs_u)) == diag_rows
+        assert [t for t, _ in traj.snapshots] == [s.t for s in snapshots]
+        for (_, got), want in zip(traj.snapshots, snapshots):
+            assert np.array_equal(got.rho, want.rho) and np.array_equal(got.u, want.u)
+
+
+def test_nan_density_reported_as_non_finite():
+    # alpha*h/sqrt(p'(0.2)) overflows tau to inf, and inf*0 on a constant
+    # state turns every density of that row NaN in the first step
+    mesh = Mesh(n=16, h=1.0, boundary=Boundary.PERIODIC)
+    initial = MeshState(mesh, np.full(16, 0.2), np.full(16, 0.1))
+    cfg = SchemeConfig(alpha=0.4, beta=0.3, alpha_s=4.0 / 3.0, c_ref=1.0)
+    alphas = [0.4, 1.7e308]
+    rho_new, _ = step_batch(np.tile(initial.rho, (2, 1)), np.tile(initial.u, (2, 1)), MODEL,
+                            cfg, mesh, np.array(alphas)[:, None], 0.3)
+    assert np.all(np.isnan(rho_new[1])) and np.all(rho_new[0] > 0.0)
+    rows = dict(run_batch(initial, MODEL, cfg, alphas, [0.3, 0.3], t_end=0.9))
+    assert (rows[1].overflow, rows[1].steps) == (True, 0)
+    assert rows[1].note == "non-finite value at t=0.3"
+    assert rows[0].completed and rows[0].steps == 3
 
 
 def test_run_constant_state_round_trip():

@@ -89,6 +89,22 @@ class TestLinearizedStep:
             assert np.array_equal(rho_b[row], rho_1)
             assert np.array_equal(u_b[row], u_1)
 
+    @pytest.mark.parametrize("shape", [(48,), (5, 48), (3, 4)])
+    def test_equals_np_roll_reference(self, shape):
+        # the same formula with the neighbours taken by np.roll
+        p = LinearizedParams(0.35, 0.7, 7.0 / 3.0)
+        rng = np.random.default_rng(13)
+        rho = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        u = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        a, b, k = p.alpha, p.beta, p.kappa
+        rho_p, rho_m = np.roll(rho, -1, axis=-1), np.roll(rho, 1, axis=-1)
+        u_p, u_m = np.roll(u, -1, axis=-1), np.roll(u, 1, axis=-1)
+        rho_want = rho - 0.5 * b * (u_p - u_m) + a * b * (rho_p - 2.0 * rho + rho_m)
+        u_want = u - 0.5 * b * (rho_p - rho_m) + k * a * b * (u_p - 2.0 * u + u_m)
+        rho_new, u_new = linearized_step(rho, u, p)
+        assert np.array_equal(rho_new, rho_want)
+        assert np.array_equal(u_new, u_want)
+
     def test_matches_modewise_matrix_powers(self):
         # m steps equal the inverse transform of G(xi)^m applied per mode
         n, m = 64, 7
