@@ -29,19 +29,13 @@ from .experiments import (
 )
 from .gas import GasModel, IsentropicLaw, TabulatedLaw
 from .mesh import Boundary, Mesh, MeshState
-from .regularization import SchemeConfig, SchemeKind, Variant, regularization_params
+from .regularization import SchemeConfig, SchemeKind, Variant
 from .schemes import (
     Diagnostics,
-    HalfMeshFluxes,
     Trajectory,
-    fluxes_enthalpy,
-    fluxes_standard,
-    make_stepper,
     run_batch,
     run_simulation,
     step_batch,
-    step_enthalpy,
-    step_standard,
 )
 from .spectral import (
     AmplificationMatrix,

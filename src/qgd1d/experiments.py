@@ -67,12 +67,15 @@ class RiemannSetup:
         )
 
 
-def estimate_signal_speed(setup: RiemannSetup, model: GasModel, base_cfg: SchemeConfig,
-                          courant: float = 0.25, record_every: int = 4) -> float:
+_SIGNAL_SPEED_COURANT = 0.25      # relative to the fastest initial signal speed
+_SIGNAL_SPEED_RECORD_EVERY = 4    # steps between the states it scans
+
+
+def estimate_signal_speed(setup: RiemannSetup, model: GasModel, base_cfg: SchemeConfig) -> float:
     """Fastest signal speed max(|u| + c) the setup's solution develops.
 
-    Runs the configured scheme once at a small Courant number (relative to
-    the fastest initial signal speed) and scans the snapshots.  Useful as a
+    Runs the configured scheme once at Courant number 0.25 (relative to the
+    fastest initial signal speed) and scans every 4th state.  Useful as a
     c_ref that makes beta the Courant number of the fastest wave, which for
     strong jumps travels well above the initial sound speeds.
     """
@@ -80,8 +83,8 @@ def estimate_signal_speed(setup: RiemannSetup, model: GasModel, base_cfg: Scheme
     initial = riemann_initial(setup, mesh)
     c0 = np.sqrt(model.pressure(initial.rho)[1])
     s0 = float(np.max(np.abs(initial.u) + c0))
-    cfg = replace(base_cfg, beta=courant, c_ref=s0)
-    traj = run_simulation(initial, model, cfg, setup.t_end, record_every=record_every)
+    cfg = replace(base_cfg, beta=_SIGNAL_SPEED_COURANT, c_ref=s0)
+    traj = run_simulation(initial, model, cfg, setup.t_end, record_every=_SIGNAL_SPEED_RECORD_EVERY)
     speed = s0
     for _, state in traj.snapshots:
         c = np.sqrt(model.pressure(state.rho)[1])
@@ -205,15 +208,6 @@ class RegionMap:
         return self.actual_betas[i], self.verdicts[i]
 
 
-def _overlays(alphas: np.ndarray, kappa: float, variant: Variant,
-              shallow_water: bool) -> OverlayCurves:
-    nec = np.array([necessary_beta_max(a, kappa, variant) for a in alphas])
-    crit = np.array([max_stable_beta(a, kappa, variant) for a in alphas])
-    suff = np.array([sufficient_beta_max_sw(a) for a in alphas]) if shallow_water else None
-    return OverlayCurves(alphas=np.asarray(alphas, dtype=float),
-                         necessary=nec, criterion=crit, sufficient=suff)
-
-
 def _run_cell(args) -> list[tuple[int, int, RunVerdict]]:
     """Advance one shard of sweep cells as a single batch; each row is
     classified, and its trajectory dropped, as it leaves the batch."""
@@ -273,11 +267,15 @@ def sweep_region(setup: RiemannSetup, model: GasModel, base_cfg: SchemeConfig,
     for i, j, verdict in (cell for shard in results for cell in shard):
         verdicts[i][j] = verdict
 
+    variant = base_cfg.regularization
     shallow_water = (isinstance(model.law, IsentropicLaw)
                      and model.law.p1 == 1.0 and model.law.gamma == 2.0
-                     and base_cfg.regularization is Variant.FULL_QGD
-                     and abs(kappa - SW_KAPPA) <= 1e-12)
-    overlays = _overlays(alphas, kappa, base_cfg.regularization, shallow_water)
+                     and variant is Variant.FULL_QGD and abs(kappa - SW_KAPPA) <= 1e-12)
+    overlays = OverlayCurves(
+        alphas=alphas,
+        necessary=np.array([necessary_beta_max(a, kappa, variant) for a in alphas]),
+        criterion=np.array([max_stable_beta(a, kappa, variant) for a in alphas]),
+        sufficient=np.array([sufficient_beta_max_sw(a) for a in alphas]) if shallow_water else None)
     return RegionMap(alphas=alphas, betas=betas, beta_mode=beta_mode,
                      actual_betas=actual, verdicts=verdicts, overlays=overlays)
 

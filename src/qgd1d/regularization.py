@@ -1,4 +1,5 @@
-"""Regularization variants, scheme configuration, and the tau/mu coefficients."""
+"""Regularization variants and scheme configuration; `schemes` states the
+scheme equations and computes tau and mu."""
 
 from __future__ import annotations
 
@@ -63,26 +64,9 @@ class SchemeConfig:
             raise ConfigError("c_ref is unset; resolve it before stepping")
         return self.beta * h / self.c_ref
 
-    def with_c_ref(self, c_ref: float) -> "SchemeConfig":
-        return replace(self, c_ref=c_ref)
-
     def resolve_c_ref(self, model: GasModel, rho: np.ndarray) -> "SchemeConfig":
         """Fill an unset c_ref with the fastest sound speed of the given density field."""
         if self.c_ref is not None:
             return self
-        return self.with_c_ref(math.sqrt(model.pressure(float(np.max(rho)))[1]))
+        return replace(self, c_ref=math.sqrt(model.pressure(float(np.max(rho)))[1]))
 
-
-def regularization_params(model: GasModel, cfg: SchemeConfig, rho, h: float):
-    """tau = alpha*h/sqrt(p'(rho)) and mu = alpha_s*tau*rho*p'(rho).
-
-    Accepts scalar or array rho; mu is identically zero iff alpha_s = 0.
-    """
-    if h <= 0.0:
-        raise ConfigError("h must be > 0")
-    _, dp = model.pressure(rho)
-    tau = cfg.alpha * h / np.sqrt(dp)
-    mu = cfg.alpha_s * tau * np.asarray(rho, dtype=float) * dp
-    if np.ndim(rho) == 0:
-        return float(tau), float(mu)
-    return tau, mu

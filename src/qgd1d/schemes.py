@@ -7,21 +7,49 @@ the "enthalpy" discretization replaces pressure differences by
 conservative in energy.  Dropping every term built from d/dx(rho*u) gives the
 simplified (QHD) variant of either scheme, with w = w_hat.
 
-One private kernel evaluates both schemes along the last axis of (rows, n)
-node arrays, so independent runs on one mesh advance in one call: it backs
-`step_batch`, the batched run loop `run_batch` (whose one-row case is
-`run_simulation`) and the single-state `step_standard`/`step_enthalpy`.
-It writes every temporary into the preallocated buffers of a `_Workspace`
-(one per run_batch, re-used by every step; a throwaway one otherwise),
-evaluates the gas model unchecked after one positivity check of the input
-density, and returns fresh arrays.  run_batch finds overflow from the
-per-step diagnostics it records anyway: min_rho > 0, max(rho) < inf and a
-finite max|u|.
-
 Half-mesh arrays hold values at x_{k-1/2}, k = 0..n.  On nodes padded with
 one ghost per side, (s v)_{k-1/2} = (v_{k-1} + v_k)/2 and
 (diff v)_{k-1/2} = (v_k - v_{k-1})/h; node_avg and node_diff apply the same
-formulas to half-mesh arrays and land on the n nodes.
+formulas to half-mesh arrays and land on the n nodes.  tau = alpha*h/sqrt(p'(rho))
+is the relaxation time on the nodes and mu = alpha_s (s tau)(s rho) p'(s rho)
+the artificial viscosity on the half mesh.
+
+Half-mesh fluxes of the standard discretization (j the mass flux, w and
+w_hat the regularizing velocities, pi the regularized stress):
+
+    (s rho) w_hat = (s tau) [ (s rho)(s u) diff(u) + diff(p(rho)) ]
+    (s rho) w     = (s tau) [ diff(rho u) ] (s u) + (s rho) w_hat
+    j             = (s rho)(s u) - (s rho) w
+    pi            = mu diff(u) + (s u)(s rho) w_hat + (s tau) p'(s rho) diff(rho u)
+
+The simplified variant drops the two diff(rho u) terms.
+
+Half-mesh fluxes of the enthalpy discretization:
+
+    w_hat     = (s tau) [ (s u) diff(u) + diff(h(rho)) ]
+    (s rho) w = T (s u) + (s rho) w_hat,   T = s(tau/h'(rho)) { diff(h(rho)) (s u) + p'(s rho) diff(u) }
+    j         = (s rho)(s u) - (s rho) w
+    pi        = mu diff(u) + (s u)(s rho) w_hat + p'(s rho) T
+
+T discretizes tau * d/dx(rho u); the simplified variant sets it to zero.
+
+One step of the standard scheme:
+
+    rho+     = rho - dt * node_diff(j)
+    (rho u)+ = rho u - dt * node_diff(j (s u) + p(s rho) - pi)
+
+One step of the enthalpy scheme:
+
+    rho+     = rho - dt * node_diff(j)
+    (rho u)+ = rho u - dt * [ node_diff(j (s u) - pi) + node_avg((s rho) diff(h(rho))) ]
+
+One private kernel, `_half_mesh` and the update in `step_batch`, evaluates
+both schemes along the last axis of (rows, n) node arrays, so independent
+runs on one mesh advance in one call.  `step_batch` is the one public step,
+of one state (1-D arrays) or of a batch of rows; `run_batch` (whose one-row
+case is `run_simulation`) calls it once per step on one `_Workspace` of
+temporaries, and finds overflow from the per-step diagnostics it records
+anyway: min_rho > 0, max(rho) < inf and a finite max|u|.
 """
 
 from __future__ import annotations
@@ -31,24 +59,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, LengthMismatch, NonPositiveDensity
+from .errors import ConfigError, LengthMismatch
 from .gas import GasModel, _check_density
 from .mesh import Boundary, Mesh, MeshState
 from .regularization import SchemeConfig, SchemeKind, Variant
-
-
-@dataclass(frozen=True)
-class HalfMeshFluxes:
-    """Regularized fluxes on the half mesh (length n+1 arrays).
-
-    j is the mass flux, w and w_hat the regularizing velocities and pi the
-    regularized stress.  Under the simplified variant w equals w_hat exactly.
-    """
-
-    j: np.ndarray
-    w: np.ndarray
-    w_hat: np.ndarray
-    pi: np.ndarray
 
 
 def _pad(v: np.ndarray, boundary: Boundary, out: np.ndarray) -> np.ndarray:
@@ -87,13 +101,13 @@ class _Workspace:
         return [b[rows] for b in self._buffers]
 
 
-def _half_mesh(kind: SchemeKind, rho: np.ndarray, u: np.ndarray, model: GasModel,
-               cfg: SchemeConfig, mesh: Mesh, alpha, padded, half):
-    """Half-mesh terms of one scheme along the last axis of rho and u, by
-    the formulas of fluxes_standard / fluxes_enthalpy, in the padded and
-    half-mesh buffers of a _Workspace; rho must be positive.  Each product
-    and sum keeps the operand grouping of those formulas (operands of one
-    product or sum may swap), so results do not depend on the buffers.
+def _half_mesh(rho: np.ndarray, u: np.ndarray, model: GasModel, cfg: SchemeConfig,
+               mesh: Mesh, alpha, padded, half):
+    """Half-mesh terms of cfg.scheme along the last axis of rho and u, by the
+    flux formulas of the module docstring, in the padded and half-mesh
+    buffers of a _Workspace; rho must be positive.  Each product and sum
+    keeps the operand grouping of those formulas (operands of one product
+    or sum may swap), so results do not depend on the buffers.
 
     Returns (j, pi, (s rho) w, (s rho) w_hat, s rho, s u, extra), where extra
     is what the momentum update adds beyond the fluxes: p(s rho) for the
@@ -107,7 +121,7 @@ def _half_mesh(kind: SchemeKind, rho: np.ndarray, u: np.ndarray, model: GasModel
     _avg(rho_p, srho)
     _avg(u_p, su)
     _diff(u_p, h, du)
-    standard = kind is SchemeKind.STANDARD
+    standard = cfg.scheme is SchemeKind.STANDARD
     full = cfg.regularization is Variant.FULL_QGD
     # q is p(rho) for the standard scheme, h(rho) for the enthalpy scheme
     if standard:
@@ -146,124 +160,42 @@ def _half_mesh(kind: SchemeKind, rho: np.ndarray, u: np.ndarray, model: GasModel
     return j, pi, srho_w, srho_what, srho, su, y if standard else dq
 
 
-def _fluxes(kind: SchemeKind, state: MeshState, model: GasModel, cfg: SchemeConfig) -> HalfMeshFluxes:
-    padded, half, _ = _Workspace(state.rho.shape).views(state.rho.shape)
-    j, pi, srho_w, srho_what, srho, _, _ = _half_mesh(kind, state.rho, state.u, model, cfg,
-                                                      state.mesh, cfg.alpha, padded, half)
-    return HalfMeshFluxes(j=j, w=srho_w / srho, w_hat=srho_what / srho, pi=pi)
+def step_batch(rho: np.ndarray, u: np.ndarray, model: GasModel, cfg: SchemeConfig,
+               mesh: Mesh, alpha, dt, *, work: _Workspace | None = None
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """One step of cfg.scheme, by the updates of the module docstring, for the
+    node arrays rho and u: one state (shape (n,)) or independent runs on one
+    mesh (the rows of shape (rows, n)).
 
-
-def fluxes_standard(state: MeshState, model: GasModel, cfg: SchemeConfig) -> HalfMeshFluxes:
-    """Half-mesh fluxes of the standard discretization.
-
-        (s rho) w_hat = (s tau) [ (s rho)(s u) diff(u) + diff(p(rho)) ]
-        (s rho) w     = (s tau) [ diff(rho u) ] (s u) + (s rho) w_hat
-        j             = (s rho)(s u) - (s rho) w
-        pi            = mu diff(u) + (s u)(s rho) w_hat + (s tau) p'(s rho) diff(rho u)
-
-    The simplified variant drops the two diff(rho u) terms.
+    alpha and dt take the place of cfg.alpha and cfg's time step; each is a
+    scalar or a (rows, 1) column with one value per row.  Returns the new
+    (rho, u) as fresh arrays without checking them: a row whose density
+    turned non-positive or a value non-finite has overflowed, and numpy
+    raises no warning for it.  A non-positive input density raises
+    NonPositiveDensity.  work lends the kernel its temporaries (run_batch
+    keeps one per batch); it never changes a result.
     """
-    return _fluxes(SchemeKind.STANDARD, state, model, cfg)
-
-
-def fluxes_enthalpy(state: MeshState, model: GasModel, cfg: SchemeConfig) -> HalfMeshFluxes:
-    """Half-mesh fluxes of the enthalpy discretization.
-
-        w_hat     = (s tau) [ (s u) diff(u) + diff(h(rho)) ]
-        (s rho) w = T (s u) + (s rho) w_hat,   T = s(tau/h'(rho)) { diff(h(rho)) (s u) + p'(s rho) diff(u) }
-        j         = (s rho)(s u) - (s rho) w
-        pi        = mu diff(u) + (s u)(s rho) w_hat + p'(s rho) T
-
-    T discretizes tau * d/dx(rho u); the simplified variant sets it to zero.
-    """
-    return _fluxes(SchemeKind.ENTHALPY, state, model, cfg)
-
-
-def _step_rows(kind: SchemeKind, rho: np.ndarray, u: np.ndarray, model: GasModel,
-               cfg: SchemeConfig, mesh: Mesh, alpha, dt, work: _Workspace | None = None):
-    """The stepping kernel: new (rho, u) along the last axis as fresh arrays,
-    by the updates of step_standard / step_enthalpy.
-
-    A non-positive input density raises NonPositiveDensity.  The new state
-    is unchecked and numpy stays silent while a row overflows: callers
-    detect it by checking the density and finiteness of each row.
-    """
+    if rho.shape[-1] != mesh.n or np.shape(u) != rho.shape:
+        raise LengthMismatch(f"expected rho and u of equal shape with last axis {mesh.n}, "
+                             f"got {rho.shape} and {np.shape(u)}")
     _check_density(rho)
     padded, half, (a, b) = (work or _Workspace(rho.shape)).views(rho.shape)
     with np.errstate(all="ignore"):
-        j, pi, _, _, srho, su, extra = _half_mesh(kind, rho, u, model, cfg, mesh, alpha,
-                                                  padded, half)
+        j, pi, _, _, srho, su, extra = _half_mesh(rho, u, model, cfg, mesh, alpha, padded, half)
         h = mesh.h
         rho_new = rho - np.multiply(_diff(j, h, a), dt, out=a)
         j *= su                                  # the momentum flux; j is not read again
-        if kind is SchemeKind.STANDARD:
+        if cfg.scheme is SchemeKind.STANDARD:
             j += extra
         j -= pi
         _diff(j, h, b)
-        if kind is SchemeKind.ENTHALPY:
+        if cfg.scheme is SchemeKind.ENTHALPY:
             extra *= srho
             b += _avg(extra, a)
         b *= dt
         np.multiply(rho, u, out=a)
         a -= b
         return rho_new, a / rho_new
-
-
-def step_batch(rho: np.ndarray, u: np.ndarray, model: GasModel, cfg: SchemeConfig,
-               mesh: Mesh, alpha, dt, *, work: _Workspace | None = None
-               ) -> tuple[np.ndarray, np.ndarray]:
-    """One step of cfg.scheme for every row of the (rows, n) node arrays rho, u.
-
-    Rows are independent runs on one mesh.  alpha and dt take the place of
-    cfg.alpha and cfg's time step; each is a scalar or a (rows, 1) column
-    with one value per row.  Returns the new (rho, u) as fresh arrays without
-    checking them: a row whose density turned non-positive or a value
-    non-finite has overflowed, and numpy raises no warning for it.  A
-    non-positive input density raises NonPositiveDensity.  work lends the
-    kernel its temporaries (run_batch keeps one per batch); it never changes
-    a result.
-    """
-    if rho.shape[-1] != mesh.n or np.shape(u) != rho.shape:
-        raise LengthMismatch(f"expected rho and u of equal shape with last axis {mesh.n}, "
-                             f"got {rho.shape} and {np.shape(u)}")
-    return _step_rows(cfg.scheme, rho, u, model, cfg, mesh, alpha, dt, work)
-
-
-def _step_state(kind: SchemeKind, state: MeshState, model: GasModel, cfg: SchemeConfig,
-                dt: float | None) -> MeshState:
-    if dt is None:
-        dt = cfg.time_step(state.mesh.h)
-    rho, u = _step_rows(kind, state.rho, state.u, model, cfg, state.mesh, cfg.alpha, dt)
-    if not np.all(rho > 0.0):
-        raise NonPositiveDensity(f"density became non-positive at t={state.t + dt}")
-    return MeshState(state.mesh, rho, u, state.t + dt)
-
-
-def step_standard(state: MeshState, model: GasModel, cfg: SchemeConfig,
-                  dt: float | None = None) -> MeshState:
-    """One step of the standard scheme:
-
-        rho+    = rho - dt * node_diff(j)
-        (rho u)+ = rho u - dt * node_diff(j (s u) + p(s rho) - pi)
-    """
-    return _step_state(SchemeKind.STANDARD, state, model, cfg, dt)
-
-
-def step_enthalpy(state: MeshState, model: GasModel, cfg: SchemeConfig,
-                  dt: float | None = None) -> MeshState:
-    """One step of the enthalpy scheme:
-
-        rho+    = rho - dt * node_diff(j)
-        (rho u)+ = rho u - dt * [ node_diff(j (s u) - pi) + node_avg((s rho) diff(h(rho))) ]
-    """
-    return _step_state(SchemeKind.ENTHALPY, state, model, cfg, dt)
-
-
-_STEPPERS = {SchemeKind.STANDARD: step_standard, SchemeKind.ENTHALPY: step_enthalpy}
-
-
-def make_stepper(cfg: SchemeConfig):
-    return _STEPPERS[cfg.scheme]
 
 
 @dataclass
@@ -316,8 +248,9 @@ def run_batch(initial: MeshState, model: GasModel, cfg: SchemeConfig, alphas, be
     if record_every < 1:
         raise ValueError("record_every must be >= 1")
     alphas, betas = np.asarray(alphas, dtype=float), np.asarray(betas, dtype=float)
-    if alphas.shape != betas.shape or not (np.all(alphas > 0.0) and np.all(betas > 0.0)):
-        raise ConfigError("alphas and betas must be of equal length and > 0")
+    if (alphas.ndim != 1 or alphas.shape != betas.shape
+            or not (np.all(alphas > 0.0) and np.all(betas > 0.0))):
+        raise ConfigError("alphas and betas must be 1-D grids of equal length and > 0")
     cfg = cfg.resolve_c_ref(model, initial.rho)
     mesh = initial.mesh
     dts = betas * mesh.h / cfg.c_ref

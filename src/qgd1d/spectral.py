@@ -267,18 +267,15 @@ class StabilityVerdict:
     near_boundary: bool
 
 
-def stability_verdict(params: LinearizedParams, n_samples: int = 4096,
-                      shallow_water: Optional[bool] = None) -> StabilityVerdict:
+def stability_verdict(params: LinearizedParams, n_samples: int = 4096) -> StabilityVerdict:
     """Evaluate all applicable conditions at one parameter point.
 
     The sufficient bound is only reported in its context: full variant with
-    kappa = 7/3 (pass shallow_water=False to suppress it even there).
+    kappa = 7/3.
     """
     nec_b = necessary_beta_max(params.alpha, params.kappa, params.variant)
     crit_b = max_stable_beta(params.alpha, params.kappa, params.variant)
-    if shallow_water is None:
-        shallow_water = (params.variant is Variant.FULL_QGD
-                         and abs(params.kappa - SW_KAPPA) <= 1e-12)
+    shallow_water = params.variant is Variant.FULL_QGD and abs(params.kappa - SW_KAPPA) <= 1e-12
     suff_b = sufficient_beta_max_sw(params.alpha) if shallow_water else None
     scan = spectral_radius_scan(params, n_samples)
     near = min(abs(params.beta - nec_b), abs(params.beta - crit_b)) <= BOUNDARY_BAND

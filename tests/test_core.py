@@ -1,4 +1,4 @@
-"""Gas model, regularization coefficients, and mesh state."""
+"""Gas model, scheme configuration, and mesh state."""
 
 import numpy as np
 import pytest
@@ -12,7 +12,6 @@ from qgd1d import (
     NonPositiveDensity,
     SchemeConfig,
     TabulatedLaw,
-    regularization_params,
 )
 
 
@@ -92,39 +91,6 @@ class TestEnthalpy:
             d_closed = closed.enthalpy(r2)[0] - closed.enthalpy(r1)[0]
             d_tab = tab.enthalpy(r2)[0] - tab.enthalpy(r1)[0]
             assert d_tab == pytest.approx(d_closed, abs=1e-8)
-
-
-class TestRegularizationParams:
-    def test_viscosity_vanishes_without_alpha_s(self):
-        model = GasModel.isentropic(1.0, 2.0)
-        cfg = SchemeConfig(alpha=0.5, beta=1.0, alpha_s=0.0, c_ref=1.0)
-        tau, mu = regularization_params(model, cfg, 1.0, h=0.01)
-        assert tau == pytest.approx(0.0035355339059327372, rel=1e-14)
-        assert mu == 0.0
-
-    def test_reference_point(self):
-        model = GasModel.isentropic(1.0, 2.0)
-        cfg = SchemeConfig(alpha=0.4, beta=1.0, alpha_s=4.0 / 3.0, c_ref=1.0)
-        tau, mu = regularization_params(model, cfg, 1.0, h=1.0 / 125.0)
-        assert tau == pytest.approx(0.002262741699796952, rel=1e-14)
-        assert mu == pytest.approx(0.006033977866125206, rel=1e-14)
-
-    def test_linear_in_alpha(self):
-        model = GasModel.isentropic(2.0, 1.7)
-        lo = SchemeConfig(alpha=0.3, beta=1.0, alpha_s=0.8, c_ref=1.0)
-        hi = SchemeConfig(alpha=0.6, beta=1.0, alpha_s=0.8, c_ref=1.0)
-        t1, m1 = regularization_params(model, lo, 1.3, h=0.02)
-        t2, m2 = regularization_params(model, hi, 1.3, h=0.02)
-        assert t2 == pytest.approx(2.0 * t1, rel=1e-14)
-        assert m2 == pytest.approx(2.0 * m1, rel=1e-14)
-
-    def test_array_density(self):
-        model = GasModel.isentropic(1.0, 2.0)
-        cfg = SchemeConfig(alpha=0.4, beta=1.0, alpha_s=1.0, c_ref=1.0)
-        rho = np.array([0.5, 1.0, 2.0])
-        tau, mu = regularization_params(model, cfg, rho, h=0.01)
-        assert tau.shape == rho.shape
-        assert np.all(tau > 0) and np.all(mu > 0)
 
 
 class TestSchemeConfig:

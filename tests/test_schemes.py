@@ -2,12 +2,14 @@
 
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from qgd1d import (
     Boundary,
+    ConfigError,
     GasModel,
     LengthMismatch,
     LinearizedParams,
@@ -18,18 +20,29 @@ from qgd1d import (
     SchemeKind,
     TabulatedLaw,
     Variant,
-    fluxes_enthalpy,
-    fluxes_standard,
     linearized_step,
-    make_stepper,
     run_simulation,
     step_batch,
-    step_enthalpy,
-    step_standard,
 )
-from qgd1d.schemes import _Workspace, run_batch
+from qgd1d.schemes import _half_mesh, _Workspace, run_batch
 
 MODEL = GasModel.isentropic(p1=1.0, gamma=2.0)
+
+
+def _step(state, model, cfg, dt=None):
+    """One step of cfg.scheme from a MeshState to a MeshState (which raises
+    NonPositiveDensity for a non-positive or NaN new density)."""
+    dt = cfg.time_step(state.mesh.h) if dt is None else dt
+    return MeshState(state.mesh, *step_batch(state.rho, state.u, model, cfg, state.mesh,
+                                             cfg.alpha, dt), state.t + dt)
+
+
+def _fluxes(state, cfg):
+    """The kernel's half-mesh j, pi, w and w_hat for one state."""
+    padded, half, _ = _Workspace(state.rho.shape).views(state.rho.shape)
+    j, pi, srho_w, srho_what, srho, _, _ = _half_mesh(state.rho, state.u, MODEL, cfg,
+                                                      state.mesh, cfg.alpha, padded, half)
+    return SimpleNamespace(j=j, pi=pi, w=srho_w / srho, w_hat=srho_what / srho)
 
 
 def periodic_state(n=32, h=0.05, seed=0, amp=0.2, u_amp=0.3):
@@ -137,13 +150,12 @@ def test_step_matches_scalar_reference(kind, variant, boundary):
     cfg = SchemeConfig(alpha=0.37, beta=0.3, alpha_s=1.1, regularization=variant,
                        scheme=kind, c_ref=2.0)
     dt = cfg.time_step(mesh.h)
-    fluxes = fluxes_standard if kind is SchemeKind.STANDARD else fluxes_enthalpy
     j_ref, pi_ref = _scalar_fluxes(state, MODEL, cfg, kind)
-    f = fluxes(state, MODEL, cfg)
+    f = _fluxes(state, cfg)
     assert np.allclose(f.j, j_ref, rtol=1e-13, atol=1e-15)
     assert np.allclose(f.pi, pi_ref, rtol=1e-13, atol=1e-15)
     rho_ref, u_ref = _scalar_step(state, MODEL, cfg, kind, dt)
-    out = make_stepper(cfg)(state, MODEL, cfg)
+    out = _step(state, MODEL, cfg)
     assert np.allclose(out.rho, rho_ref, rtol=1e-13, atol=1e-15)
     assert np.allclose(out.u, u_ref, rtol=1e-13, atol=1e-15)
 
@@ -158,13 +170,12 @@ def test_constant_state_fluxes_and_fixed_point(kind, u_star):
     mesh = Mesh(n=12, h=0.1, boundary=Boundary.PERIODIC)
     state = MeshState(mesh, np.full(12, 0.8), np.full(12, u_star))
     cfg = SchemeConfig(alpha=0.5, beta=0.4, alpha_s=1.0, scheme=kind, c_ref=1.5)
-    fluxes = fluxes_standard if kind is SchemeKind.STANDARD else fluxes_enthalpy
-    f = fluxes(state, MODEL, cfg)
+    f = _fluxes(state, cfg)
     assert np.allclose(f.w, 0.0, atol=1e-15)
     assert np.allclose(f.w_hat, 0.0, atol=1e-15)
     assert np.allclose(f.j, 0.8 * u_star, rtol=1e-15, atol=1e-15)
     assert np.allclose(f.pi, 0.0, atol=1e-15)
-    out = make_stepper(cfg)(state, MODEL, cfg)
+    out = _step(state, MODEL, cfg)
     assert np.allclose(out.rho, state.rho, rtol=0, atol=1e-15)
     assert np.allclose(out.u, state.u, rtol=0, atol=1e-15)
 
@@ -176,7 +187,7 @@ def test_small_velocity_bump_mass_flux():
     mesh = Mesh(n=3, h=0.1, boundary=Boundary.PERIODIC)
     state = MeshState(mesh, np.ones(3), np.array([0.0, eps, 0.0]))
     cfg = SchemeConfig(alpha=0.5, beta=0.4, alpha_s=1.0, c_ref=1.5)
-    f = fluxes_standard(state, MODEL, cfg)
+    f = _fluxes(state, cfg)
     su = np.array([(0.0 + 0.0) / 2, (0.0 + eps) / 2, (eps + 0.0) / 2, 0.0])
     assert np.allclose(f.j, su, atol=50 * eps**2)
     assert np.max(np.abs(f.w)) < 50 * eps**2
@@ -191,9 +202,8 @@ def test_periodic_conservation(kind, check_momentum):
     h = state.mesh.h
     mass0 = h * float(np.sum(state.rho))
     mom0 = h * float(np.sum(state.momentum))
-    step = make_stepper(cfg)
     for _ in range(300):
-        state = step(state, MODEL, cfg)
+        state = _step(state, MODEL, cfg)
     assert h * float(np.sum(state.rho)) == pytest.approx(mass0, rel=1e-12)
     if check_momentum:
         assert h * float(np.sum(state.momentum)) == pytest.approx(mom0, abs=1e-12)
@@ -209,18 +219,17 @@ def test_qhd_equals_qgd_when_momentum_terms_vanish(kind):
     for variant in Variant:
         cfg = SchemeConfig(alpha=0.45, beta=0.3, alpha_s=0.9, regularization=variant,
                            scheme=kind, c_ref=1.6)
-        out[variant] = make_stepper(cfg)(state, MODEL, cfg)
+        out[variant] = _step(state, MODEL, cfg)
     assert np.array_equal(out[Variant.FULL_QGD].rho, out[Variant.SIMPLIFIED_QHD].rho)
     assert np.array_equal(out[Variant.FULL_QGD].u, out[Variant.SIMPLIFIED_QHD].u)
 
 
 def test_qhd_regularizing_velocities_coincide():
     state = periodic_state(n=16, h=0.1, seed=1)
-    for kind, fluxes in ((SchemeKind.STANDARD, fluxes_standard),
-                         (SchemeKind.ENTHALPY, fluxes_enthalpy)):
+    for kind in (SchemeKind.STANDARD, SchemeKind.ENTHALPY):
         cfg = SchemeConfig(alpha=0.4, beta=0.3, alpha_s=0.7,
                            regularization=Variant.SIMPLIFIED_QHD, scheme=kind, c_ref=1.6)
-        f = fluxes(state, MODEL, cfg)
+        f = _fluxes(state, cfg)
         assert np.array_equal(f.w, f.w_hat)
 
 
@@ -242,7 +251,7 @@ def test_linearization_agreement(kind, variant):
         cfg = SchemeConfig(alpha=alpha, beta=beta, alpha_s=alpha_s, regularization=variant,
                            scheme=kind, c_ref=c_star)
         state = MeshState(mesh, rho_star + eps * r, eps * v)
-        out = make_stepper(cfg)(state, MODEL, cfg)
+        out = _step(state, MODEL, cfg)
         rho_t, u_t = linearized_step(eps * r / rho_star, eps * v / c_star, params)
         mismatch = max(
             float(np.max(np.abs(out.rho - rho_star * (1.0 + rho_t)))),
@@ -266,7 +275,7 @@ def test_enthalpy_and_standard_steps_agree_to_second_order():
         for kind in (SchemeKind.STANDARD, SchemeKind.ENTHALPY):
             cfg = SchemeConfig(alpha=0.4, beta=0.3, alpha_s=4.0 / 3.0, scheme=kind,
                                c_ref=math.sqrt(2.0))
-            outs.append(make_stepper(cfg)(state, MODEL, cfg))
+            outs.append(_step(state, MODEL, cfg))
         diffs.append(max(float(np.max(np.abs(outs[0].rho - outs[1].rho))),
                          float(np.max(np.abs(outs[0].u - outs[1].u)))))
     assert diffs[0] < 1e-7  # O(eps^2) at eps = 1e-5, with margin
@@ -279,7 +288,7 @@ def test_step_rejects_vanishing_density():
     state = MeshState(mesh, np.full(8, 0.5), u)
     cfg = SchemeConfig(alpha=0.4, beta=0.3, alpha_s=1.0, c_ref=1.0)
     with pytest.raises(NonPositiveDensity):
-        step_standard(state, MODEL, cfg, dt=0.05)
+        _step(state, MODEL, cfg, dt=0.05)
 
 
 @pytest.mark.parametrize("kind", [SchemeKind.STANDARD, SchemeKind.ENTHALPY])
@@ -297,8 +306,7 @@ def test_step_batch_rows_match_single_steps(kind, variant):
     mesh = states[0].mesh
     rho_new, u_new = step_batch(rho, u, MODEL, cfg, mesh, alphas[:, None], dts[:, None])
     for k, state in enumerate(states):
-        alone = make_stepper(cfg)(state, MODEL, replace(cfg, alpha=float(alphas[k])),
-                                  dt=float(dts[k]))
+        alone = _step(state, MODEL, replace(cfg, alpha=float(alphas[k])), dt=float(dts[k]))
         assert np.array_equal(rho_new[k], alone.rho)
         assert np.array_equal(u_new[k], alone.u)
     with pytest.raises(LengthMismatch):
@@ -314,7 +322,7 @@ def test_step_batch_overflowing_row_is_silent():
     rho = np.stack([state.rho, state.rho])
     u = np.stack([state.u, 1e200 * state.u])
     rho_new, u_new = step_batch(rho, u, MODEL, cfg, state.mesh, cfg.alpha, 0.01)
-    alone = step_standard(state, MODEL, cfg, dt=0.01)
+    alone = _step(state, MODEL, cfg, dt=0.01)
     assert np.array_equal(rho_new[0], alone.rho) and np.array_equal(u_new[0], alone.u)
     assert not (np.all(np.isfinite(rho_new[1])) and np.all(np.isfinite(u_new[1])))
 
@@ -342,11 +350,11 @@ def test_step_batch_workspace_changes_nothing(kind, variant):
             assert all(np.array_equal(w, g) for w, g in zip(want, out))
             assert not any(np.shares_memory(g, b) for g in out for b in work._buffers)
     # a single state and another mesh size re-size the workspace
-    alone = make_stepper(cfg)(first[0], MODEL, cfg, dt=dts)
+    alone = _step(first[0], MODEL, cfg, dt=dts)
     got = step_batch(first[0].rho, first[0].u, MODEL, cfg, mesh, cfg.alpha, dts, work=work)
     assert np.array_equal(got[0], alone.rho) and np.array_equal(got[1], alone.u)
     small = periodic_state(n=9, h=0.05, seed=4)
-    alone = make_stepper(cfg)(small, MODEL, cfg, dt=dts)
+    alone = _step(small, MODEL, cfg, dt=dts)
     got = step_batch(small.rho[None], small.u[None], MODEL, cfg, small.mesh, cfg.alpha, dts,
                      work=work)
     assert np.array_equal(got[0][0], alone.rho) and np.array_equal(got[1][0], alone.u)
@@ -370,10 +378,9 @@ def test_tabulated_law_steps_like_the_isentropic_law(kind):
                                       p_prime=lambda r: 2.0 * np.asarray(r)), r0=0.5)
     closed = GasModel.isentropic(p1=1.0, gamma=2.0, r0=0.5)
     cfg = SchemeConfig(alpha=0.4, beta=0.3, alpha_s=1.0, scheme=kind, c_ref=1.5)
-    step = step_enthalpy if kind is SchemeKind.ENTHALPY else step_standard
     a = b = periodic_state(n=16, h=0.1, seed=3)
     for _ in range(3):
-        a, b = step(a, tabulated, cfg), step(b, closed, cfg)
+        a, b = _step(a, tabulated, cfg), _step(b, closed, cfg)
     assert np.allclose(a.rho, b.rho, rtol=0.0, atol=1e-10)
     assert np.allclose(a.u, b.u, rtol=0.0, atol=1e-10)
     assert not np.array_equal(a.u, periodic_state(n=16, h=0.1, seed=3).u)
@@ -388,7 +395,6 @@ def _reference_run(initial, cfg, t_end, record_every):
     batches: (steps, overflow, diagnostic rows, snapshot states)."""
     cfg = cfg.resolve_c_ref(MODEL, initial.rho)
     dt = cfg.time_step(initial.mesh.h)
-    step = make_stepper(cfg)
 
     def diag(state):
         h = state.mesh.h
@@ -400,7 +406,7 @@ def _reference_run(initial, cfg, t_end, record_every):
     eps = 1e-12 * max(1.0, abs(t_end))
     while state.t < t_end - eps:
         try:
-            new_state = step(state, MODEL, cfg, dt=min(dt, t_end - state.t))
+            new_state = _step(state, MODEL, cfg, dt=min(dt, t_end - state.t))
         except NonPositiveDensity:
             overflow = True
             break
@@ -458,6 +464,17 @@ def test_run_batch_rows_match_per_step_reference(kind, variant):
         assert [t for t, _ in traj.snapshots] == [s.t for s in snapshots]
         for (_, got), want in zip(traj.snapshots, snapshots):
             assert np.array_equal(got.rho, want.rho) and np.array_equal(got.u, want.u)
+
+
+@pytest.mark.parametrize("alphas,betas", [(0.4, 0.3), ([[0.4, 0.5]], [[0.3, 0.3]]),
+                                          ([[0.4], [0.5]], [[0.3], [0.3]]),
+                                          ([0.4, 0.5], [0.3])],
+                         ids=["scalar", "row", "column", "unequal"])
+def test_run_batch_rejects_malformed_grids(alphas, betas):
+    state = periodic_state(n=16, h=0.1, seed=2)
+    cfg = SchemeConfig(alpha=0.4, beta=0.3, alpha_s=1.0, c_ref=1.5)
+    with pytest.raises(ConfigError, match="1-D grids of equal length"):
+        next(run_batch(state, MODEL, cfg, alphas, betas, t_end=0.1))
 
 
 def test_nan_density_reported_as_non_finite():

@@ -235,6 +235,22 @@ class TestScan:
             assert flips <= 1 and (not oks[-1])
 
 
+def _numeric_peaks(params, n_samples=2048):
+    """max |eigenvalue of G(xi)| and max eigenvalue of G(xi)^H G(xi) over
+    xi_j = 2*pi*j/n_samples, from numpy's general and Hermitian eigensolvers
+    on the stacked 2x2 matrices."""
+    xi = 2.0 * np.pi * np.arange(n_samples) / n_samples
+    w1 = 4.0 * params.alpha * params.beta * np.sin(xi / 2.0) ** 2
+    w2 = params.beta * np.sin(xi)
+    g = np.empty((n_samples, 2, 2), dtype=complex)
+    g[:, 0, 0] = 1.0 - w1
+    g[:, 0, 1] = g[:, 1, 0] = -1j * w2
+    g[:, 1, 1] = 1.0 - params.kappa * w1
+    radius = np.abs(np.linalg.eigvals(g)).max()
+    gram = np.linalg.eigvalsh(np.swapaxes(g, -1, -2).conj() @ g).max()
+    return float(radius), float(gram)
+
+
 class TestClosedForms:
     def test_necessary_thresholds(self):
         assert necessary_beta_max(0.5, 1.0) == pytest.approx(1.0, rel=1e-15)
@@ -305,6 +321,19 @@ class TestClosedForms:
             for a in (0.8 * a_star, 1.2 * a_star):
                 assert max_stable_beta(a, kappa, variant) < b_max
 
+    @settings(max_examples=40, deadline=None)
+    @given(_linearized_params())
+    def test_closed_forms_agree_with_numeric_eigenvalues(self, params):
+        # an oracle that shares no eigen formula with the closed forms or the
+        # scan; points within 1 % of a threshold are left out
+        radius, gram = _numeric_peaks(params)
+        a, k, variant = params.alpha, params.kappa, params.variant
+        for verdict, threshold, peak in (
+                (necessary_condition(params), necessary_beta_max(a, k, variant), radius),
+                (weak_conservativeness_criterion(params), max_stable_beta(a, k, variant), gram)):
+            if abs(params.beta - threshold) > 0.01 * threshold:
+                assert verdict == (peak <= 1.0 + 1e-10), (threshold, peak)
+
 
 class TestVerdict:
     def test_condition_inclusions_on_grid(self):
@@ -323,6 +352,8 @@ class TestVerdict:
         v = stability_verdict(LinearizedParams(0.4, 0.3, 7.0 / 3.0, QGD), n_samples=128)
         assert v.sufficient_ok is not None
         v = stability_verdict(LinearizedParams(0.4, 0.3, 2.0, QGD), n_samples=128)
+        assert v.sufficient_ok is None
+        v = stability_verdict(LinearizedParams(0.4, 0.3, 7.0 / 3.0, QHD), n_samples=128)
         assert v.sufficient_ok is None
 
 
