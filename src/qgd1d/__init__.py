@@ -45,17 +45,14 @@ from .spectral import (
     StabilityVerdict,
     amplification_matrix,
     gram_matrix,
-    gram_max_eigen,
     linearized_step,
     max_stable_beta,
     necessary_beta_max,
-    necessary_condition,
     optimal_alpha,
     oracle_mismatches,
     spectral_radius_scan,
     stability_verdict,
     sufficient_beta_max_sw,
-    sufficient_condition_sw,
     verify_norm_monotonicity,
     weak_conservativeness_criterion,
 )

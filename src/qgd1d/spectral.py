@@ -3,15 +3,16 @@
 Both nonlinear schemes share one linearization around a constant background:
 a two-level recurrence in the scaled perturbations (rho, u) whose Fourier
 symbol is the 2x2 matrix G(xi).  This module provides that recurrence, the
-symbol and its Gram matrix, closed-form stability predicates (the spectral
+symbol and its Gram matrix, closed-form stability thresholds (the spectral
 necessary condition and the L2 weak-conservativeness criterion, for both
 regularization variants, plus a published sufficient bound for the scaled
 shallow-water law), and a brute-force spectral scan used as an independent
 oracle for all of them.
 
-The scan and the worst-mode search read one memoised, read-only wavenumber
-grid per sample count, so repeated scans share sin(xi/2)**2 and sin(xi).
-The norm check steps all of its trials as one (rows, n) batch.
+Every scan reads one memoised, read-only wavenumber grid per sample count.
+The scan evaluates only its distinct half, and the oracle scans its betas in
+blocks; the worst-mode search reads the full grid.  The norm check steps all
+of its trials as one (rows, n) batch.
 """
 
 from __future__ import annotations
@@ -27,6 +28,9 @@ from .errors import InvalidKappa, LengthMismatch, ReportFailure
 from .regularization import Variant
 
 SW_KAPPA = 7.0 / 3.0  # effective viscosity of the published sufficient bound
+# samples per oracle scan block: with float64 temporaries of 64 KB at most, the
+# heap keeps them; larger ones are returned to the OS and faulted back each call
+_BLOCK_SAMPLES = 8192
 
 
 @dataclass(frozen=True)
@@ -153,12 +157,6 @@ def _gram_extremes(omega1, omega2, kappa):
     return 0.5 * (a + d) + np.hypot(0.5 * (a - d), off)
 
 
-def gram_max_eigen(xi: float, params: LinearizedParams) -> float:
-    """Largest eigenvalue of G^H G at one wavenumber."""
-    w1, w2 = _omegas(*_sines(float(xi)), params)
-    return float(_gram_extremes(w1, w2, params.kappa))
-
-
 def _spectral_radius(omega1, omega2, kappa):
     """max |eigenvalue of G| via the quadratic formula on trace/determinant."""
     tr = 2.0 - (kappa + 1.0) * omega1
@@ -169,23 +167,36 @@ def _spectral_radius(omega1, omega2, kappa):
     return np.where(disc >= 0.0, real_case, complex_case)
 
 
+def _scan_peaks(alpha: float, betas: np.ndarray, kappa: float, n_samples: int):
+    """Maxima of the spectral radius and of the top Gram eigenvalue over
+    xi_j = 2*pi*j/n_samples, one of each per beta.  G(-xi) has the trace and
+    determinant of G(xi) and its Gram matrix up to the sign of the off-diagonal
+    term, so only the distinct j = 0..n_samples//2 are scanned.  Each row does
+    _omegas' arithmetic, so it equals a one-row call bit for bit."""
+    theta, sin_xi = (grid[:n_samples // 2 + 1] for grid in _wavenumber_grid(n_samples))
+    w1 = np.multiply.outer(4.0 * alpha * betas, theta)
+    w2 = np.multiply.outer(betas, sin_xi)
+    return (_spectral_radius(w1, w2, kappa).max(axis=-1),
+            _gram_extremes(w1, w2, kappa).max(axis=-1))
+
+
 @dataclass(frozen=True)
 class SpectrumScan:
     """Brute-force maxima over a uniform wavenumber grid."""
 
     max_radius: float     # max over xi of the spectral radius of G
     max_gram: float       # max over xi of the largest eigenvalue of G^H G
-    n_samples: int
+    n_samples: int        # samples on the full circle; n_samples//2 + 1 are distinct
 
 
 def spectral_radius_scan(params: LinearizedParams, n_samples: int = 4096) -> SpectrumScan:
     """Scan xi_j = 2*pi*j/n_samples, j = 0..n_samples-1, for both spectra."""
+    if isinstance(n_samples, bool) or not isinstance(n_samples, (int, np.integer)):
+        raise ValueError("n_samples must be an integer")
     if n_samples < 64:
         raise ValueError("n_samples must be >= 64")
-    w1, w2 = _omegas(*_wavenumber_grid(n_samples), params)
-    radius = _spectral_radius(w1, w2, params.kappa)
-    gram = _gram_extremes(w1, w2, params.kappa)
-    return SpectrumScan(max_radius=float(radius.max()), max_gram=float(gram.max()),
+    radius, gram = _scan_peaks(params.alpha, np.array([params.beta]), params.kappa, n_samples)
+    return SpectrumScan(max_radius=float(radius[0]), max_gram=float(gram[0]),
                         n_samples=n_samples)
 
 
@@ -215,19 +226,9 @@ def sufficient_beta_max_sw(alpha: float) -> float:
                4.0 * alpha / (1.0 + 6.0 * alpha + 16.0 * alpha**2))
 
 
-def necessary_condition(params: LinearizedParams) -> bool:
-    """True iff the spectral radius of G stays <= 1 for every wavenumber."""
-    return params.beta <= necessary_beta_max(params.alpha, params.kappa, params.variant)
-
-
 def weak_conservativeness_criterion(params: LinearizedParams) -> bool:
     """True iff the discrete L2 norm is non-increasing for every initial datum."""
     return params.beta <= max_stable_beta(params.alpha, params.kappa, params.variant)
-
-
-def sufficient_condition_sw(alpha: float, beta: float) -> bool:
-    """Sufficient-only bound; caller asserts the p = rho**2, kappa = 7/3 context."""
-    return beta <= sufficient_beta_max_sw(alpha)
 
 
 def optimal_alpha(kappa: float, variant: Variant = Variant.FULL_QGD) -> tuple[Optional[float], float]:
@@ -304,17 +305,18 @@ def oracle_mismatches() -> tuple[int, list[str]]:
     betas = np.round(np.arange(1, 33) * 0.05, 10)
     cases = [(k, Variant.FULL_QGD) for k in (1.0, 7.0 / 3.0, 4.0)]
     cases += [(k, Variant.SIMPLIFIED_QHD) for k in (0.0, 0.5, 1.0, 2.0)]
+    per_block = round(_BLOCK_SAMPLES / (4096 // 2 + 1))  # 4 betas of 2 049 samples
     checked = 0
     mismatches = []
     for kappa, variant in cases:
         for alpha in alphas:
             nec_b = necessary_beta_max(float(alpha), kappa, variant)
             crit_b = max_stable_beta(float(alpha), kappa, variant)
-            for beta in betas:
-                scan = spectral_radius_scan(
-                    LinearizedParams(float(alpha), float(beta), kappa, variant), 4096)
-                for name, threshold, peak in (("necessary", nec_b, scan.max_radius),
-                                              ("criterion", crit_b, scan.max_gram)):
+            radii, grams = np.hstack([_scan_peaks(float(alpha), betas[i:i + per_block], kappa, 4096)
+                                      for i in range(0, len(betas), per_block)])
+            for beta, radius, gram in zip(betas, radii.tolist(), grams.tolist()):
+                for name, threshold, peak in (("necessary", nec_b, radius),
+                                              ("criterion", crit_b, gram)):
                     if abs(beta - threshold) > 1e-6 and \
                             (beta <= threshold) != (peak <= 1.0 + 1e-10):
                         mismatches.append(f"{name} mismatch at alpha={alpha} beta={beta} "

@@ -16,16 +16,13 @@ from qgd1d import (
     Variant,
     amplification_matrix,
     gram_matrix,
-    gram_max_eigen,
     linearized_step,
     max_stable_beta,
     necessary_beta_max,
-    necessary_condition,
     optimal_alpha,
     spectral_radius_scan,
     stability_verdict,
     sufficient_beta_max_sw,
-    sufficient_condition_sw,
     verify_norm_monotonicity,
     weak_conservativeness_criterion,
 )
@@ -155,6 +152,12 @@ class TestAmplificationMatrix:
             )
 
 
+def _gram_top(xi, params):
+    """Largest eigenvalue of G^H G at one wavenumber, from the scan's closed form."""
+    w1, w2 = spectral._omegas(*spectral._sines(float(xi)), params)
+    return float(spectral._gram_extremes(w1, w2, params.kappa))
+
+
 class TestGram:
     def test_gram_matches_direct_product(self):
         p = LinearizedParams(0.45, 0.8, 7.0 / 3.0)
@@ -162,7 +165,7 @@ class TestGram:
             g = amplification_matrix(xi, p).entries
             m = gram_matrix(xi, p)
             assert np.allclose(m, g.conj().T @ g, rtol=1e-15)
-            top = gram_max_eigen(xi, p)
+            top = _gram_top(xi, p)
             assert top == pytest.approx(float(np.linalg.eigvalsh(m)[-1]), rel=1e-13)
 
     def test_scalar_at_kappa_one(self):
@@ -173,15 +176,19 @@ class TestGram:
             assert m[0, 0] == pytest.approx(m[1, 1], rel=1e-15)
 
     def test_unit_at_zero_wavenumber(self):
-        assert gram_max_eigen(0.0, LinearizedParams(0.9, 1.4, 4.0)) == pytest.approx(1.0)
+        assert _gram_top(0.0, LinearizedParams(0.9, 1.4, 4.0)) == pytest.approx(1.0)
 
 
-def _reference_scan(params, n_samples):
-    """The scan with its own wavenumber grid, built at every call."""
+def _reference_scan(params, n_samples, distinct_only=False):
+    """The scan with its own wavenumber grid, built at every call, over the
+    full circle or over its distinct half j = 0..n_samples//2."""
     xi = 2.0 * np.pi * np.arange(n_samples) / n_samples
     theta = np.sin(xi / 2.0) ** 2
+    sin_xi = np.sin(xi)
+    if distinct_only:
+        theta, sin_xi = theta[:n_samples // 2 + 1], sin_xi[:n_samples // 2 + 1]
     w1 = 4.0 * params.alpha * params.beta * theta
-    w2 = params.beta * np.sin(xi)
+    w2 = params.beta * sin_xi
     radius = spectral._spectral_radius(w1, w2, params.kappa)
     gram = spectral._gram_extremes(w1, w2, params.kappa)
     return float(radius.max()), float(gram.max())
@@ -189,19 +196,52 @@ def _reference_scan(params, n_samples):
 
 @st.composite
 def _linearized_params(draw):
+    """alpha uniform or log-uniform on [0.01, 2] (the thresholds' branches
+    scale as alpha and 1/alpha); beta drawn independently, or within 10 % of
+    a closed-form threshold, where a verdict can flip."""
     variant = draw(st.sampled_from([QGD, QHD]))
     kappa = draw(st.floats(1.0 if variant is QGD else 0.0, 5.0))
-    alpha = draw(st.floats(0.01, 2.0))
+    alpha = draw(st.floats(0.01, 2.0)
+                 | st.floats(0.0, math.log(200.0)).map(lambda t: 0.01 * math.exp(t)))
     beta = draw(st.floats(0.01, 2.0))
+    scale = draw(st.sampled_from([max_stable_beta, necessary_beta_max, None]))
+    threshold = scale(alpha, kappa, variant) if scale else 0.0
+    if threshold > 0.0:
+        beta = threshold * draw(st.floats(0.9, 1.1))
     return LinearizedParams(alpha, beta, kappa, variant)
 
 
 class TestScan:
     @settings(max_examples=80, deadline=None)
-    @given(_linearized_params(), st.sampled_from([64, 512, 4096]))
+    @given(_linearized_params(), st.sampled_from([64, 101, 512, 4096]))
     def test_shared_grid_equals_per_call_reference(self, params, n_samples):
         scan = spectral_radius_scan(params, n_samples)
-        assert (scan.max_radius, scan.max_gram) == _reference_scan(params, n_samples)
+        assert (scan.max_radius, scan.max_gram) == \
+            _reference_scan(params, n_samples, distinct_only=True)
+
+    @settings(max_examples=80, deadline=None)
+    @given(_linearized_params(), st.sampled_from([64, 101, 512, 4096]))
+    def test_half_circle_bounds_full_circle(self, params, n_samples):
+        # mirrored samples j and n - j differ only by the rounding of xi
+        scan = spectral_radius_scan(params, n_samples)
+        for got, want in zip((scan.max_radius, scan.max_gram),
+                             _reference_scan(params, n_samples)):
+            assert abs(got - want) <= 1e-14 * max(1.0, abs(want))
+            assert (got <= 1.0 + 1e-10) == (want <= 1.0 + 1e-10)
+
+    @pytest.mark.parametrize("kappa, variant", [(7.0 / 3.0, QGD), (0.5, QHD)])
+    def test_block_rows_equal_one_row_scans(self, kappa, variant):
+        alpha = 0.35
+        betas = np.round(np.arange(1, 8) * 0.15, 10)
+        expect = [spectral_radius_scan(LinearizedParams(alpha, float(b), kappa, variant), 512)
+                  for b in betas]
+        for per_block in range(1, len(betas) + 1):
+            for start in range(0, len(betas), per_block):
+                radii, grams = spectral._scan_peaks(alpha, betas[start:start + per_block],
+                                                    kappa, 512)
+                rows = expect[start:start + per_block]
+                assert radii.tolist() == [s.max_radius for s in rows]
+                assert grams.tolist() == [s.max_gram for s in rows]
 
     def test_shared_grid_is_read_only(self):
         theta, sin_xi = spectral._wavenumber_grid(256)
@@ -223,6 +263,14 @@ class TestScan:
     def test_minimum_sample_count_enforced(self):
         with pytest.raises(ValueError):
             spectral_radius_scan(LinearizedParams(0.5, 1.0, 1.0), 32)
+
+    @pytest.mark.parametrize("n_samples", [4096.0, np.float64(4096), True, "4096"],
+                             ids=["float", "np.float64", "bool", "str"])
+    def test_non_integer_sample_count_rejected(self, n_samples):
+        with pytest.raises(ValueError, match="integer"):
+            spectral_radius_scan(LinearizedParams(0.5, 1.0, 1.0), n_samples)
+        scan = spectral_radius_scan(LinearizedParams(0.5, 1.0, 1.0), np.int64(4096))
+        assert scan.max_gram == spectral_radius_scan(LinearizedParams(0.5, 1.0, 1.0)).max_gram
 
     def test_stable_beta_set_is_an_interval(self):
         for alpha, kappa, variant in ((0.3, 1.0, QGD), (0.45, 7.0 / 3.0, QGD), (0.8, 0.5, QHD)):
@@ -258,8 +306,7 @@ class TestClosedForms:
         assert necessary_beta_max(0.5, 1.0, QHD) == pytest.approx(1.0, rel=1e-15)
 
     def test_necessary_predicate_boundary(self):
-        assert necessary_condition(LinearizedParams(0.5, 1.0, 1.0))
-        assert not necessary_condition(LinearizedParams(0.5, 1.0001, 1.0))
+        assert 1.0 <= necessary_beta_max(0.5, 1.0) < 1.0001
 
     def test_criterion_thresholds(self):
         assert max_stable_beta(0.4, 7.0 / 3.0) == pytest.approx(15.0 / 28.0, rel=1e-14)
@@ -290,8 +337,7 @@ class TestClosedForms:
     def test_sufficient_bound_values(self):
         assert sufficient_beta_max_sw(0.5) == pytest.approx(0.2, rel=1e-14)
         assert sufficient_beta_max_sw(0.4) == pytest.approx(0.19801980198019797, rel=1e-14)
-        assert sufficient_condition_sw(0.5, 0.2)
-        assert not sufficient_condition_sw(0.5, 0.2001)
+        assert 0.2 <= sufficient_beta_max_sw(0.5) < 0.2001
 
     def test_sufficient_first_fraction_smaller_below_crossover(self):
         crossover = (3.0 + math.sqrt(17.0)) / 8.0
@@ -328,9 +374,9 @@ class TestClosedForms:
         # scan; points within 1 % of a threshold are left out
         radius, gram = _numeric_peaks(params)
         a, k, variant = params.alpha, params.kappa, params.variant
-        for verdict, threshold, peak in (
-                (necessary_condition(params), necessary_beta_max(a, k, variant), radius),
-                (weak_conservativeness_criterion(params), max_stable_beta(a, k, variant), gram)):
+        nec, crit = necessary_beta_max(a, k, variant), max_stable_beta(a, k, variant)
+        for verdict, threshold, peak in ((params.beta <= nec, nec, radius),
+                                         (weak_conservativeness_criterion(params), crit, gram)):
             if abs(params.beta - threshold) > 0.01 * threshold:
                 assert verdict == (peak <= 1.0 + 1e-10), (threshold, peak)
 
