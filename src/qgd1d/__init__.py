@@ -38,12 +38,10 @@ from .schemes import (
     step_batch,
 )
 from .spectral import (
-    AmplificationMatrix,
     NormMonotonicityReport,
     LinearizedParams,
     SpectrumScan,
     StabilityVerdict,
-    amplification_matrix,
     gram_matrix,
     linearized_step,
     max_stable_beta,

@@ -9,6 +9,18 @@ regularization variants, plus a published sufficient bound for the scaled
 shallow-water law), and a brute-force spectral scan used as an independent
 oracle for all of them.
 
+With w1 = 4*alpha*beta*sin^2(xi/2) and w2 = beta*sin(xi), the symbol is
+
+    G(xi) = [[1 - w1, -i w2], [-i w2, 1 - kappa w1]] = H*I + M,
+    H = 1 - (1 + kappa) w1/2,  D = (kappa - 1) w1/2,  M = [[D, -i w2], [-i w2, -D]].
+
+Since M^2 = (D^2 - w2^2) I, the eigenvalues of G are H +- sqrt(E) with
+E = D^2 - w2^2 = (|D| - w2)(|D| + w2), so the spectral radius is
+|H| + sqrt(E) for E >= 0 and sqrt(H^2 - E) for E < 0, and
+G^H G = (H^2 + D^2 + w2^2) I + 2D [[H, -i w2], [i w2, -H]] has the top
+eigenvalue ||G||_2^2 = (|D| + sqrt(H^2 + w2^2))^2.  The scans evaluate these
+two closed forms; the factored E does not cancel where the eigenvalues meet.
+
 Every scan reads one memoised, read-only wavenumber grid per sample count.
 The scan evaluates only its distinct half, and the oracle scans its betas in
 blocks; the worst-mode search reads the full grid.  The norm check steps all
@@ -98,17 +110,6 @@ def linearized_step(rho, u, params: LinearizedParams):
     return rho_new, u_new
 
 
-@dataclass(frozen=True)
-class AmplificationMatrix:
-    """Fourier symbol G(xi) of the linearized step and its ingredients."""
-
-    entries: np.ndarray  # 2x2 complex
-    xi: float
-    theta: float      # sin^2(xi/2)
-    omega1: float     # 4*alpha*beta*theta
-    omega2: float     # beta*sin(xi)
-
-
 def _sines(xi):
     """theta = sin^2(xi/2) and sin(xi), the wavenumber factors of G(xi)."""
     xi = np.asarray(xi)
@@ -125,59 +126,47 @@ def _wavenumber_grid(n_samples: int):
     return theta, sin_xi
 
 
-def _omegas(theta, sin_xi, params: LinearizedParams):
-    """omega1 = 4*alpha*beta*theta and omega2 = beta*sin(xi)."""
-    return 4.0 * params.alpha * params.beta * theta, params.beta * sin_xi
-
-
-def amplification_matrix(xi: float, params: LinearizedParams) -> AmplificationMatrix:
-    """G(xi) = [[1 - w1, -i w2], [-i w2, 1 - kappa w1]]."""
-    theta, sin_xi = _sines(float(xi))
-    w1, w2 = _omegas(theta, sin_xi, params)
-    g = np.array(
-        [[1.0 - w1, -1j * w2],
-         [-1j * w2, 1.0 - params.kappa * w1]],
-        dtype=complex,
-    )
-    return AmplificationMatrix(entries=g, xi=float(xi), theta=float(theta),
-                               omega1=float(w1), omega2=float(w2))
-
-
 def gram_matrix(xi: float, params: LinearizedParams) -> np.ndarray:
-    """The Hermitian product G(xi)^H G(xi), formed numerically."""
-    g = amplification_matrix(xi, params).entries
+    """The Hermitian product G(xi)^H G(xi), formed numerically from
+    G(xi) = [[1 - w1, -i w2], [-i w2, 1 - kappa w1]]."""
+    theta, sin_xi = _sines(float(xi))
+    w1 = 4.0 * params.alpha * params.beta * theta
+    w2 = params.beta * sin_xi
+    g = np.array([[1.0 - w1, -1j * w2],
+                  [-1j * w2, 1.0 - params.kappa * w1]], dtype=complex)
     return g.conj().T @ g
 
 
-def _gram_extremes(omega1, omega2, kappa):
-    """Largest eigenvalue of G^H G from the 2x2 Hermitian closed form."""
-    a = (1.0 - omega1) ** 2 + omega2**2
-    d = (1.0 - kappa * omega1) ** 2 + omega2**2
-    off = (1.0 - kappa) * omega1 * omega2
-    return 0.5 * (a + d) + np.hypot(0.5 * (a - d), off)
+def _symbol(alpha: float, betas, kappa: float, theta, sin_xi):
+    """H, |D| and w2 of G = H*I + M on the grid, one row per beta (or one
+    grid-shaped array for a scalar beta)."""
+    h = 1.0 - np.multiply.outer(2.0 * alpha * (1.0 + kappa) * betas, theta)
+    abs_d = np.multiply.outer(2.0 * alpha * abs(kappa - 1.0) * betas, theta)
+    return h, abs_d, np.multiply.outer(betas, sin_xi)
 
 
-def _spectral_radius(omega1, omega2, kappa):
-    """max |eigenvalue of G| via the quadratic formula on trace/determinant."""
-    tr = 2.0 - (kappa + 1.0) * omega1
-    det = kappa * omega1**2 + omega2**2 + 1.0 - (kappa + 1.0) * omega1
-    disc = tr**2 - 4.0 * det
-    real_case = 0.5 * (np.abs(tr) + np.sqrt(np.maximum(disc, 0.0)))
-    complex_case = np.sqrt(np.maximum(det, 0.0))
-    return np.where(disc >= 0.0, real_case, complex_case)
+def _norm(h2, abs_d, w2):
+    """||G||_2 = |D| + sqrt(H^2 + w2^2), from H^2, |D| and w2."""
+    return abs_d + np.sqrt(h2 + w2 * w2)
 
 
 def _scan_peaks(alpha: float, betas: np.ndarray, kappa: float, n_samples: int):
     """Maxima of the spectral radius and of the top Gram eigenvalue over
-    xi_j = 2*pi*j/n_samples, one of each per beta.  G(-xi) has the trace and
-    determinant of G(xi) and its Gram matrix up to the sign of the off-diagonal
-    term, so only the distinct j = 0..n_samples//2 are scanned.  Each row does
-    _omegas' arithmetic, so it equals a one-row call bit for bit."""
+    xi_j = 2*pi*j/n_samples, one of each per beta.  G(-xi) is G(xi) with the
+    sign of w2 flipped, which neither closed form sees, so only the
+    distinct j = 0..n_samples//2 are scanned.  Every sample is computed
+    elementwise, so each row equals a one-row call bit for bit.
+
+    The radius of a sample is |H| + sqrt(E) for E >= 0 and sqrt(H^2 - E) for
+    E < 0; the other expression, clipped at zero, is never larger, so the
+    row maximum is the larger of the two clipped row maxima."""
     theta, sin_xi = (grid[:n_samples // 2 + 1] for grid in _wavenumber_grid(n_samples))
-    w1 = np.multiply.outer(4.0 * alpha * betas, theta)
-    w2 = np.multiply.outer(betas, sin_xi)
-    return (_spectral_radius(w1, w2, kappa).max(axis=-1),
-            _gram_extremes(w1, w2, kappa).max(axis=-1))
+    h, abs_d, w2 = _symbol(alpha, betas, kappa, theta, sin_xi)
+    h2 = h * h
+    e = (abs_d - w2) * (abs_d + w2)
+    real_case = (np.abs(h) + np.sqrt(np.maximum(e, 0.0))).max(axis=-1)
+    complex_case = np.sqrt(np.maximum((h2 - e).max(axis=-1), 0.0))
+    return np.maximum(real_case, complex_case), _norm(h2, abs_d, w2).max(axis=-1) ** 2
 
 
 @dataclass(frozen=True)
@@ -349,8 +338,8 @@ def _row_norms(rho, u) -> np.ndarray:
 def _worst_mode_data(params: LinearizedParams, n: int):
     """Fourier mode (on the n-point mesh) maximizing the Gram eigenvalue,
     seeded with the corresponding top eigenvector."""
-    gains = _gram_extremes(*_omegas(*_wavenumber_grid(n), params), params.kappa)
-    xi_star = 2.0 * np.pi * int(np.argmax(gains)) / n
+    h, abs_d, w2 = _symbol(params.alpha, params.beta, params.kappa, *_wavenumber_grid(n))
+    xi_star = 2.0 * np.pi * int(np.argmax(_norm(h * h, abs_d, w2))) / n
     m = gram_matrix(xi_star, params)
     eigvals, eigvecs = np.linalg.eigh(m)
     top = eigvecs[:, int(np.argmax(eigvals))]
