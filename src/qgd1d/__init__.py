@@ -38,8 +38,9 @@ from .schemes import (
     step_batch,
 )
 from .spectral import (
-    NormMonotonicityReport,
     LinearizedParams,
+    NormCheck,
+    NormMonotonicityReport,
     SpectrumScan,
     StabilityVerdict,
     gram_matrix,
@@ -51,6 +52,7 @@ from .spectral import (
     spectral_radius_scan,
     stability_verdict,
     sufficient_beta_max_sw,
+    verify_norm_batch,
     verify_norm_monotonicity,
     weak_conservativeness_criterion,
 )

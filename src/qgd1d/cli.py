@@ -36,11 +36,12 @@ from .regularization import SchemeConfig, SchemeKind, Variant
 from .schemes import run_simulation, step_batch
 from .spectral import (
     LinearizedParams,
+    NormCheck,
     max_stable_beta,
     optimal_alpha,
     oracle_mismatches,
     stability_verdict,
-    verify_norm_monotonicity,
+    verify_norm_batch,
 )
 
 DEFAULT_CONFIG = {
@@ -390,20 +391,19 @@ def _verify_oracle_equivalence() -> tuple[bool, str]:
 
 def _verify_norm_monotonicity_suite() -> tuple[bool, str]:
     rng = np.random.default_rng(7)
-    checked = 0
-    for _ in range(10):
+    checks = []
+    for seed in range(0, 20, 2):
         alpha = float(rng.uniform(0.1, 1.2))
         kappa = float(rng.uniform(1.0, 4.0))
         threshold = max_stable_beta(alpha, kappa, Variant.FULL_QGD)
         inside = LinearizedParams(alpha, float(threshold * rng.uniform(0.2, 0.98)), kappa)
         outside = LinearizedParams(alpha, float(threshold * rng.uniform(1.06, 1.5)), kappa)
-        try:
-            verify_norm_monotonicity(inside, n=128, steps=120, trials=3, seed=checked)
-            verify_norm_monotonicity(outside, n=128, steps=120, trials=1, seed=checked)
-        except ReportFailure as exc:
-            return False, str(exc)
-        checked += 2
-    return True, f"{checked} parameter points"
+        checks += [NormCheck(inside, trials=3, seed=seed), NormCheck(outside, trials=1, seed=seed)]
+    try:
+        verify_norm_batch(checks, n=128, steps=120)
+    except ReportFailure as exc:
+        return False, str(exc)
+    return True, f"{len(checks)} parameter points"
 
 
 def _verify_conservation() -> tuple[bool, str]:

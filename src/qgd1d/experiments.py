@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import enum
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -56,15 +55,6 @@ class RiemannSetup:
     def mesh(self, boundary: Boundary = Boundary.OUTFLOW) -> Mesh:
         n = int(round((self.x_max - self.x_min) / self.h))
         return Mesh(n=n, h=self.h, x_min=self.x_min, boundary=boundary)
-
-    def mirrored(self) -> "RiemannSetup":
-        """Swap sides and negate velocities (the x -> -x image of the data)."""
-        return replace(
-            self,
-            rho_left=self.rho_right, u_left=-self.u_right,
-            rho_right=self.rho_left, u_right=-self.u_left,
-            x0=-self.x0, x_min=-self.x_max, x_max=-self.x_min,
-        )
 
 
 _SIGNAL_SPEED_COURANT = 0.25      # relative to the fastest initial signal speed
@@ -259,6 +249,7 @@ def sweep_region(setup: RiemannSetup, model: GasModel, base_cfg: SchemeConfig,
     shards = [(cells[k::n_shards], setup, model, base_cfg, thresholds, record_every)
               for k in range(n_shards)]
     if n_shards > 1:
+        from concurrent.futures import ProcessPoolExecutor  # imported late: loads multiprocessing
         with ProcessPoolExecutor(max_workers=n_shards) as pool:
             results = list(pool.map(_run_cell, shards))
     else:

@@ -15,16 +15,21 @@ With w1 = 4*alpha*beta*sin^2(xi/2) and w2 = beta*sin(xi), the symbol is
     H = 1 - (1 + kappa) w1/2,  D = (kappa - 1) w1/2,  M = [[D, -i w2], [-i w2, -D]].
 
 Since M^2 = (D^2 - w2^2) I, the eigenvalues of G are H +- sqrt(E) with
-E = D^2 - w2^2 = (|D| - w2)(|D| + w2), so the spectral radius is
-|H| + sqrt(E) for E >= 0 and sqrt(H^2 - E) for E < 0, and
-G^H G = (H^2 + D^2 + w2^2) I + 2D [[H, -i w2], [i w2, -H]] has the top
-eigenvalue ||G||_2^2 = (|D| + sqrt(H^2 + w2^2))^2.  The scans evaluate these
-two closed forms; the factored E does not cancel where the eigenvalues meet.
+E = D^2 - w2^2: the spectral radius is |H| + sqrt(E) for E >= 0 and
+sqrt(H^2 - E) for E < 0, and G^H G = (H^2 + D^2 + w2^2) I
++ 2D [[H, -i w2], [i w2, -H]] has the top eigenvalue (|D| + sqrt(H^2 + w2^2))^2.
+The scans factor beta out: with theta = sin^2(xi/2) and s = sin(xi), each
+(alpha, kappa) column computes c = 2 alpha (1 + kappa) theta,
+d = 2 alpha |kappa - 1| theta, e0 = (d - s)(d + s) and s^2 once, so that
+H = 1 - beta c, |D| = beta d and E = beta^2 e0 (factored, so it does not
+cancel where the eigenvalues meet).  The radius maximum is the larger of
+sqrt(max(max_j (H^2 - beta^2 e0), 0)) and of max(|H| + beta sqrt(e0)) over
+the samples with e0 >= 0, which is exact: where e0 < 0 the real form
+|H| = sqrt(fl(H*H)) never exceeds sqrt(fl(H^2) - E).
 
-Every scan reads one memoised, read-only wavenumber grid per sample count.
-The scan evaluates only its distinct half, and the oracle scans its betas in
-blocks; the worst-mode search reads the full grid.  The norm check steps all
-of its trials as one (rows, n) batch.
+Scans read one memoised, read-only wavenumber grid per sample count: its
+distinct half, in blocks of betas on buffers reused across columns, or the
+whole grid for the worst mode.  Norm checks step all rows as one batch.
 """
 
 from __future__ import annotations
@@ -40,9 +45,7 @@ from .errors import InvalidKappa, LengthMismatch, ReportFailure
 from .regularization import Variant
 
 SW_KAPPA = 7.0 / 3.0  # effective viscosity of the published sufficient bound
-# samples per oracle scan block: with float64 temporaries of 64 KB at most, the
-# heap keeps them; larger ones are returned to the OS and faulted back each call
-_BLOCK_SAMPLES = 8192
+_BLOCK_SAMPLES = 32768  # samples per scan buffer: 16 betas of 2 049, 256 KB of float64
 
 
 @dataclass(frozen=True)
@@ -99,7 +102,11 @@ def linearized_step(rho, u, params: LinearizedParams):
     u = np.asarray(u)
     if rho.shape != u.shape or rho.ndim not in (1, 2):
         raise LengthMismatch("rho and u must be 1D or (rows, n) arrays of equal shape")
-    a, b, k = params.alpha, params.beta, params.kappa
+    return _recurrence(rho, u, params.alpha, params.beta, params.kappa)
+
+
+def _recurrence(rho, u, a, b, k):
+    """linearized_step with alpha, beta and kappa as scalars or (rows, 1) columns."""
     # the periodic neighbours v_{k+1} and v_{k-1}: np.roll(v, -1) and np.roll(v, 1)
     rho_p = np.concatenate((rho[..., 1:], rho[..., :1]), axis=-1)
     rho_m = np.concatenate((rho[..., -1:], rho[..., :-1]), axis=-1)
@@ -110,17 +117,12 @@ def linearized_step(rho, u, params: LinearizedParams):
     return rho_new, u_new
 
 
-def _sines(xi):
-    """theta = sin^2(xi/2) and sin(xi), the wavenumber factors of G(xi)."""
-    xi = np.asarray(xi)
-    return np.sin(xi / 2.0) ** 2, np.sin(xi)
-
-
 @functools.lru_cache(maxsize=8)
 def _wavenumber_grid(n_samples: int):
-    """_sines on xi_j = 2*pi*j/n_samples, j = 0..n_samples-1, computed once
-    per sample count and shared read-only by every caller."""
-    theta, sin_xi = _sines(2.0 * np.pi * np.arange(n_samples) / n_samples)
+    """theta = sin^2(xi/2) and sin(xi) on xi_j = 2*pi*j/n_samples,
+    j = 0..n_samples-1, computed once per sample count and shared read-only."""
+    xi = 2.0 * np.pi * np.arange(n_samples) / n_samples
+    theta, sin_xi = np.sin(xi / 2.0) ** 2, np.sin(xi)
     theta.flags.writeable = False
     sin_xi.flags.writeable = False
     return theta, sin_xi
@@ -129,44 +131,51 @@ def _wavenumber_grid(n_samples: int):
 def gram_matrix(xi: float, params: LinearizedParams) -> np.ndarray:
     """The Hermitian product G(xi)^H G(xi), formed numerically from
     G(xi) = [[1 - w1, -i w2], [-i w2, 1 - kappa w1]]."""
-    theta, sin_xi = _sines(float(xi))
-    w1 = 4.0 * params.alpha * params.beta * theta
-    w2 = params.beta * sin_xi
+    xi = float(xi)
+    w1 = 4.0 * params.alpha * params.beta * np.sin(xi / 2.0) ** 2
+    w2 = params.beta * np.sin(xi)
     g = np.array([[1.0 - w1, -1j * w2],
                   [-1j * w2, 1.0 - params.kappa * w1]], dtype=complex)
     return g.conj().T @ g
 
 
-def _symbol(alpha: float, betas, kappa: float, theta, sin_xi):
-    """H, |D| and w2 of G = H*I + M on the grid, one row per beta (or one
-    grid-shaped array for a scalar beta)."""
-    h = 1.0 - np.multiply.outer(2.0 * alpha * (1.0 + kappa) * betas, theta)
-    abs_d = np.multiply.outer(2.0 * alpha * abs(kappa - 1.0) * betas, theta)
-    return h, abs_d, np.multiply.outer(betas, sin_xi)
+def _column(alpha: float, kappa: float, n_samples: int, stop: int):
+    """The beta-free c, d and s of one (alpha, kappa) column at j < stop."""
+    theta, s = (grid[:stop] for grid in _wavenumber_grid(n_samples))
+    return 2.0 * alpha * (1.0 + kappa) * theta, 2.0 * alpha * abs(kappa - 1.0) * theta, s
 
 
-def _norm(h2, abs_d, w2):
-    """||G||_2 = |D| + sqrt(H^2 + w2^2), from H^2, |D| and w2."""
-    return abs_d + np.sqrt(h2 + w2 * w2)
+def _norms(betas, c, d, s2, h2, norm, scratch):
+    """H^2 into h2 and ||G||_2 into norm, one row per beta of the (rows, 1) betas."""
+    np.square(np.subtract(1.0, np.multiply(betas, c, out=h2), out=h2), out=h2)
+    np.sqrt(np.add(h2, np.multiply(betas * betas, s2, out=norm), out=norm), out=norm)
+    np.add(norm, np.multiply(betas, d, out=scratch), out=norm)
 
 
-def _scan_peaks(alpha: float, betas: np.ndarray, kappa: float, n_samples: int):
+def _scan_peaks(alpha: float, betas: np.ndarray, kappa: float, n_samples: int, work):
     """Maxima of the spectral radius and of the top Gram eigenvalue over
-    xi_j = 2*pi*j/n_samples, one of each per beta.  G(-xi) is G(xi) with the
-    sign of w2 flipped, which neither closed form sees, so only the
-    distinct j = 0..n_samples//2 are scanned.  Every sample is computed
-    elementwise, so each row equals a one-row call bit for bit.
-
-    The radius of a sample is |H| + sqrt(E) for E >= 0 and sqrt(H^2 - E) for
-    E < 0; the other expression, clipped at zero, is never larger, so the
-    row maximum is the larger of the two clipped row maxima."""
-    theta, sin_xi = (grid[:n_samples // 2 + 1] for grid in _wavenumber_grid(n_samples))
-    h, abs_d, w2 = _symbol(alpha, betas, kappa, theta, sin_xi)
-    h2 = h * h
-    e = (abs_d - w2) * (abs_d + w2)
-    real_case = (np.abs(h) + np.sqrt(np.maximum(e, 0.0))).max(axis=-1)
-    complex_case = np.sqrt(np.maximum((h2 - e).max(axis=-1), 0.0))
-    return np.maximum(real_case, complex_case), _norm(h2, abs_d, w2).max(axis=-1) ** 2
+    xi_j = 2*pi*j/n_samples, one of each per beta, on the distinct
+    j = 0..n_samples//2 (G(-xi) only flips the sign of w2, which neither form
+    sees), in blocks of as many betas as the three (rows, n_samples//2 + 1)
+    buffers `work` have rows.  Each row equals a one-row call bit for bit."""
+    c, d, s = _column(alpha, kappa, n_samples, work.shape[-1])
+    e0 = (d - s) * (d + s)
+    real = e0 >= 0.0  # never empty: e0 = 0 at xi = 0
+    c_real, root_real = c[real], np.sqrt(e0[real])
+    s2 = s * s
+    radius, norm_max = np.empty(len(betas)), np.empty(len(betas))
+    for i in range(0, len(betas), work.shape[1]):
+        b = betas[i:i + work.shape[1], None]
+        h2, norm, t = work[:, :len(b)]
+        _norms(b, c, d, s2, h2, norm, t)
+        norm.max(axis=-1, out=norm_max[i:i + len(b)])
+        np.subtract(h2, np.multiply(b * b, e0, out=t), out=t)
+        complex_case = np.sqrt(np.maximum(t.max(axis=-1), 0.0))
+        h, t = h2[:, :len(c_real)], t[:, :len(c_real)]
+        np.abs(np.subtract(1.0, np.multiply(b, c_real, out=h), out=h), out=h)
+        np.add(h, np.multiply(b, root_real, out=t), out=t)
+        np.maximum(t.max(axis=-1), complex_case, out=radius[i:i + len(b)])
+    return radius, norm_max ** 2
 
 
 @dataclass(frozen=True)
@@ -184,7 +193,8 @@ def spectral_radius_scan(params: LinearizedParams, n_samples: int = 4096) -> Spe
         raise ValueError("n_samples must be an integer")
     if n_samples < 64:
         raise ValueError("n_samples must be >= 64")
-    radius, gram = _scan_peaks(params.alpha, np.array([params.beta]), params.kappa, n_samples)
+    radius, gram = _scan_peaks(params.alpha, np.array([params.beta]), params.kappa, n_samples,
+                               np.empty((3, 1, n_samples // 2 + 1)))
     return SpectrumScan(max_radius=float(radius[0]), max_gram=float(gram[0]),
                         n_samples=n_samples)
 
@@ -294,24 +304,19 @@ def oracle_mismatches() -> tuple[int, list[str]]:
     betas = np.round(np.arange(1, 33) * 0.05, 10)
     cases = [(k, Variant.FULL_QGD) for k in (1.0, 7.0 / 3.0, 4.0)]
     cases += [(k, Variant.SIMPLIFIED_QHD) for k in (0.0, 0.5, 1.0, 2.0)]
-    per_block = round(_BLOCK_SAMPLES / (4096 // 2 + 1))  # 4 betas of 2 049 samples
-    checked = 0
+    work = np.empty((3, _BLOCK_SAMPLES // 2049, 2049))  # 2 049 distinct of 4 096 samples
     mismatches = []
     for kappa, variant in cases:
         for alpha in alphas:
-            nec_b = necessary_beta_max(float(alpha), kappa, variant)
-            crit_b = max_stable_beta(float(alpha), kappa, variant)
-            radii, grams = np.hstack([_scan_peaks(float(alpha), betas[i:i + per_block], kappa, 4096)
-                                      for i in range(0, len(betas), per_block)])
-            for beta, radius, gram in zip(betas, radii.tolist(), grams.tolist()):
-                for name, threshold, peak in (("necessary", nec_b, radius),
-                                              ("criterion", crit_b, gram)):
-                    if abs(beta - threshold) > 1e-6 and \
-                            (beta <= threshold) != (peak <= 1.0 + 1e-10):
-                        mismatches.append(f"{name} mismatch at alpha={alpha} beta={beta} "
-                                          f"kappa={kappa} {variant.value}")
-                checked += 1
-    return checked, mismatches
+            thresholds = (necessary_beta_max(float(alpha), kappa, variant),
+                          max_stable_beta(float(alpha), kappa, variant))
+            peaks = _scan_peaks(float(alpha), betas, kappa, 4096, work)
+            bad = [(np.abs(betas - threshold) > 1e-6) & ((betas <= threshold) != (peak <= 1.0 + 1e-10))
+                   for threshold, peak in zip(thresholds, peaks)]
+            for i, which in zip(*np.nonzero(np.transpose(bad))):  # by beta, then by name
+                mismatches.append(f"{('necessary', 'criterion')[which]} mismatch at alpha={alpha} "
+                                  f"beta={betas[i]} kappa={kappa} {variant.value}")
+    return len(cases) * alphas.size * betas.size, mismatches
 
 
 @dataclass
@@ -338,13 +343,91 @@ def _row_norms(rho, u) -> np.ndarray:
 def _worst_mode_data(params: LinearizedParams, n: int):
     """Fourier mode (on the n-point mesh) maximizing the Gram eigenvalue,
     seeded with the corresponding top eigenvector."""
-    h, abs_d, w2 = _symbol(params.alpha, params.beta, params.kappa, *_wavenumber_grid(n))
-    xi_star = 2.0 * np.pi * int(np.argmax(_norm(h * h, abs_d, w2))) / n
-    m = gram_matrix(xi_star, params)
-    eigvals, eigvecs = np.linalg.eigh(m)
+    c, d, s = _column(params.alpha, params.kappa, n, n)
+    h2, norm, scratch = np.empty((3, 1, n))
+    _norms(np.array([[params.beta]]), c, d, s * s, h2, norm, scratch)
+    xi_star = 2.0 * np.pi * int(np.argmax(norm)) / n
+    eigvals, eigvecs = np.linalg.eigh(gram_matrix(xi_star, params))
     top = eigvecs[:, int(np.argmax(eigvals))]
     phase = np.exp(1j * xi_star * np.arange(n))
     return top[0] * phase, top[1] * phase
+
+
+@dataclass(frozen=True)
+class NormCheck:
+    """The arguments of one verify_norm_monotonicity call but n and steps."""
+
+    params: LinearizedParams
+    trials: int = 8
+    seed: int = 0
+    step_tol: float = 1e-12
+    growth_tol: float = 1e-6
+
+
+def _norm_report(check: NormCheck, n: int, steps: int, histories) -> NormMonotonicityReport:
+    """The report of one check from the norm history of each of its rows."""
+    params = check.params
+    threshold = max_stable_beta(params.alpha, params.kappa, params.variant)
+    criterion = params.beta <= threshold
+    margin = (not criterion) and params.beta >= 1.05 * threshold
+    violations, max_step_ratio, max_total_growth = [], 0.0, 0.0
+    for trial, history in enumerate(histories):
+        norm0 = prev = history[0]
+        best = 1.0
+        for m, cur in enumerate(history[1:], start=1):
+            if prev > 0.0:
+                ratio = cur / prev
+                max_step_ratio = max(max_step_ratio, ratio)
+                if criterion and ratio > 1.0 + check.step_tol:
+                    violations.append((trial, m, ratio))
+            if norm0 > 0.0:
+                best = max(best, cur / norm0)
+            prev = cur
+        max_total_growth = max(max_total_growth, best)
+    if criterion:
+        passed = not violations
+    elif margin:
+        passed = max_total_growth > 1.0 + check.growth_tol
+        if not passed:
+            violations.append(("worst-mode", steps, max_total_growth))
+    else:
+        passed = True  # inside the 5% band: nothing asserted either way
+    return NormMonotonicityReport(params, n, steps, check.trials, criterion, margin,
+                                  max_step_ratio, max_total_growth, violations, passed)
+
+
+def _norm_reports(checks, n: int, steps: int) -> list[NormMonotonicityReport]:
+    """Step the rows of all checks as one (rows, n) batch, each row with its
+    check's alpha, beta and kappa, and report every check without raising."""
+    datasets, columns, counts = [], [], []
+    for check in checks:
+        params, rng = check.params, np.random.default_rng(check.seed)
+        rows = [] if weak_conservativeness_criterion(params) else [_worst_mode_data(params, n)]
+        rows += [(rng.standard_normal(n) + 1j * rng.standard_normal(n),
+                  rng.standard_normal(n) + 1j * rng.standard_normal(n)) for _ in range(check.trials)]
+        datasets += rows
+        columns += [(params.alpha, params.beta, params.kappa)] * len(rows)
+        counts.append(len(rows))
+    rho, u = (np.array([d[i] for d in datasets], dtype=complex).reshape(-1, n) for i in (0, 1))
+    a, b, k = np.array(columns, dtype=float).reshape(-1, 3).T[..., None]
+    norms = [_row_norms(rho, u)]
+    for _ in range(steps):
+        rho, u = _recurrence(rho, u, a, b, k)
+        norms.append(_row_norms(rho, u))
+    histories = iter(np.array(norms).T.tolist())
+    return [_norm_report(check, n, steps, [next(histories) for _ in range(count)])
+            for check, count in zip(checks, counts)]
+
+
+def verify_norm_batch(checks, n: int = 128, steps: int = 200) -> list[NormMonotonicityReport]:
+    """Run norm checks on one n-point mesh as one batch; their reports, in
+    order.  Raises ReportFailure, with its report, for the first that fails."""
+    reports = _norm_reports(list(checks), n, steps)
+    for report in reports:
+        if not report.passed:
+            raise ReportFailure(f"norm-monotonicity check failed at {len(report.violations)} "
+                                f"point(s): {report.violations[:3]}", report=report)
+    return reports
 
 
 def verify_norm_monotonicity(params: LinearizedParams, n: int = 128, steps: int = 200,
@@ -355,63 +438,7 @@ def verify_norm_monotonicity(params: LinearizedParams, n: int = 128, steps: int 
     Inside the criterion every trial's norm must be non-increasing step by
     step.  Outside it by a margin of at least 5%, the worst-mode trial must
     grow.  Raises ReportFailure when the applicable assertion is violated.
-    All trials advance together as one (rows, n) batch of linearized steps;
-    trial 0 is the worst mode when the criterion fails.
+    The one-check case of verify_norm_batch: all trials advance as one batch,
+    and trial 0 is the worst mode when the criterion fails.
     """
-    rng = np.random.default_rng(seed)
-    threshold = max_stable_beta(params.alpha, params.kappa, params.variant)
-    criterion = params.beta <= threshold
-    margin = (not criterion) and params.beta >= 1.05 * threshold
-
-    datasets = []
-    if not criterion:
-        datasets.append(_worst_mode_data(params, n))
-    for _ in range(trials):
-        datasets.append((rng.standard_normal(n) + 1j * rng.standard_normal(n),
-                         rng.standard_normal(n) + 1j * rng.standard_normal(n)))
-
-    rho = np.array([d[0] for d in datasets], dtype=complex).reshape(-1, n)
-    u = np.array([d[1] for d in datasets], dtype=complex).reshape(-1, n)
-    norms = [_row_norms(rho, u)]
-    for _ in range(steps):
-        rho, u = linearized_step(rho, u, params)
-        norms.append(_row_norms(rho, u))
-
-    violations = []
-    max_step_ratio = 0.0
-    max_total_growth = 0.0
-    for trial, history in enumerate(np.array(norms).T.tolist()):
-        norm0 = prev = history[0]
-        best = 1.0
-        for m, cur in enumerate(history[1:], start=1):
-            if prev > 0.0:
-                ratio = cur / prev
-                max_step_ratio = max(max_step_ratio, ratio)
-                if criterion and ratio > 1.0 + step_tol:
-                    violations.append((trial, m, ratio))
-            if norm0 > 0.0:
-                best = max(best, cur / norm0)
-            prev = cur
-        max_total_growth = max(max_total_growth, best)
-
-    if criterion:
-        passed = not violations
-    elif margin:
-        passed = max_total_growth > 1.0 + growth_tol
-        if not passed:
-            violations.append(("worst-mode", steps, max_total_growth))
-    else:
-        passed = True  # inside the 5% band: nothing asserted either way
-
-    report = NormMonotonicityReport(
-        params=params, n=n, steps=steps, trials=trials,
-        criterion_holds=criterion, margin_checked=margin,
-        max_step_ratio=max_step_ratio, max_total_growth=max_total_growth,
-        violations=violations, passed=passed,
-    )
-    if not passed:
-        raise ReportFailure(
-            f"norm-monotonicity check failed at {len(violations)} point(s): {violations[:3]}",
-            report=report,
-        )
-    return report
+    return verify_norm_batch([NormCheck(params, trials, seed, step_tol, growth_tol)], n, steps)[0]

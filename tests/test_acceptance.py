@@ -17,6 +17,7 @@ from qgd1d import (
     LinearizedParams,
     Mesh,
     MeshState,
+    NormCheck,
     RiemannSetup,
     SchemeConfig,
     SchemeKind,
@@ -35,7 +36,7 @@ from qgd1d import (
     step_batch,
     sufficient_beta_max_sw,
     sweep_region,
-    verify_norm_monotonicity,
+    verify_norm_batch,
     weak_conservativeness_criterion,
 )
 
@@ -84,7 +85,7 @@ def test_criterion_2_oracle_matches_closed_forms():
 
 def test_criterion_3_norm_monotonicity():
     rng = np.random.default_rng(2024)
-    inside = outside = 0
+    checks = []
     for i in range(20):
         if i % 5 < 3:
             kappa, variant = float(rng.uniform(1.0, 4.0)), QGD
@@ -94,13 +95,14 @@ def test_criterion_3_norm_monotonicity():
         threshold = max_stable_beta(alpha, kappa, variant)
         beta_in = float(threshold * rng.uniform(0.15, 0.98))
         beta_out = float(threshold * rng.uniform(1.06, 1.5))
-        rep = verify_norm_monotonicity(LinearizedParams(alpha, beta_in, kappa, variant),
-                            n=128, steps=200, trials=3, seed=100 + i)
-        assert rep.criterion_holds and rep.max_step_ratio <= 1.0 + 1e-12
+        checks += [NormCheck(LinearizedParams(alpha, beta_in, kappa, variant), trials=3, seed=100 + i),
+                   NormCheck(LinearizedParams(alpha, beta_out, kappa, variant), trials=2, seed=200 + i)]
+    reports = verify_norm_batch(checks, n=128, steps=200)
+    inside = outside = 0
+    for rep_in, rep_out in zip(reports[0::2], reports[1::2]):
+        assert rep_in.criterion_holds and rep_in.max_step_ratio <= 1.0 + 1e-12
         inside += 1
-        rep = verify_norm_monotonicity(LinearizedParams(alpha, beta_out, kappa, variant),
-                            n=128, steps=200, trials=2, seed=200 + i)
-        assert rep.margin_checked and rep.max_total_growth > 1.0 + 1e-6
+        assert rep_out.margin_checked and rep_out.max_total_growth > 1.0 + 1e-6
         outside += 1
     assert inside == 20 and outside == 20
     _report("criterion 3: norm monotonicity inside, growth outside")

@@ -141,10 +141,12 @@ def test_overrides_raise_only_config_error_and_keep_numbers_finite(items):
         assert math.isfinite(number)
 
 
-def test_cli_import_leaves_scipy_out():
+@pytest.mark.parametrize("module", ["scipy.integrate", "concurrent.futures.process",
+                                    "multiprocessing"])
+def test_cli_import_leaves_scipy_out(module):
     src = os.path.dirname(os.path.dirname(qgd1d.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    code = "import sys, qgd1d.cli; print('scipy.integrate' in sys.modules)"
+    code = f"import sys, qgd1d.cli; print({module!r} in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=60, check=True).stdout
     assert out.strip() == "False"

@@ -7,11 +7,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qgd1d import spectral
+from qgd1d import cli, spectral
 from qgd1d import (
     InvalidKappa,
     LengthMismatch,
     LinearizedParams,
+    NormCheck,
     ReportFailure,
     Variant,
     gram_matrix,
@@ -22,6 +23,7 @@ from qgd1d import (
     spectral_radius_scan,
     stability_verdict,
     sufficient_beta_max_sw,
+    verify_norm_batch,
     verify_norm_monotonicity,
     weak_conservativeness_criterion,
 )
@@ -161,17 +163,18 @@ class TestGram:
 
 def _reference_spectra(params, n_samples):
     """Spectral radius and ||G||_2 at every xi_j = 2*pi*j/n_samples, from the
-    scan's closed forms on a grid built at every call."""
+    scan's beta-scaled closed forms on a grid built at every call, with the
+    real form of the radius taken at every sample."""
     xi = 2.0 * np.pi * np.arange(n_samples) / n_samples
-    theta = np.sin(xi / 2.0) ** 2
+    theta, s = np.sin(xi / 2.0) ** 2, np.sin(xi)
     a, b, k = params.alpha, params.beta, params.kappa
-    h = 1.0 - 2.0 * a * (1.0 + k) * b * theta
-    abs_d = 2.0 * a * abs(k - 1.0) * b * theta
-    w2 = b * np.sin(xi)
-    e = (abs_d - w2) * (abs_d + w2)
-    radius = np.maximum(np.abs(h) + np.sqrt(np.maximum(e, 0.0)),
-                        np.sqrt(np.maximum(h * h - e, 0.0)))
-    return radius, abs_d + np.sqrt(h * h + w2 * w2)
+    c = 2.0 * a * (1.0 + k) * theta
+    d = 2.0 * a * abs(k - 1.0) * theta
+    e0 = (d - s) * (d + s)
+    h = 1.0 - b * c
+    radius = np.maximum(np.abs(h) + b * np.sqrt(np.maximum(e0, 0.0)),
+                        np.sqrt(np.maximum(h * h - (b * b) * e0, 0.0)))
+    return radius, b * d + np.sqrt(h * h + (b * b) * (s * s))
 
 
 def _reference_scan(params, n_samples, distinct_only=False):
@@ -232,19 +235,31 @@ class TestScan:
         scan = spectral_radius_scan(LinearizedParams(1.5, 1.45, 1.0))
         assert scan.max_radius == pytest.approx(7.7, rel=1e-15, abs=0.0)
 
-    @pytest.mark.parametrize("kappa, variant", [(7.0 / 3.0, QGD), (0.5, QHD)])
-    def test_block_rows_equal_one_row_scans(self, kappa, variant):
+    def test_block_rows_equal_one_row_scans(self):
+        # one set of buffers serves every column; the columns differ in how
+        # many samples have e0 >= 0, so a stale value would show in a row
         alpha = 0.35
         betas = np.round(np.arange(1, 8) * 0.15, 10)
-        expect = [spectral_radius_scan(LinearizedParams(alpha, float(b), kappa, variant), 512)
-                  for b in betas]
-        for per_block in range(1, len(betas) + 1):
-            for start in range(0, len(betas), per_block):
-                radii, grams = spectral._scan_peaks(alpha, betas[start:start + per_block],
-                                                    kappa, 512)
-                rows = expect[start:start + per_block]
+        columns = [(7.0 / 3.0, QGD), (0.5, QHD), (1.0, QGD), (4.0, QGD), (0.0, QHD)]
+        expect = {col: [spectral_radius_scan(LinearizedParams(alpha, float(b), *col), 512)
+                        for b in betas] for col in columns}
+        for per_block in range(1, len(betas) + 1):  # short last blocks included
+            work = np.full((3, per_block, 512 // 2 + 1), np.nan)
+            for kappa, variant in columns:
+                radii, grams = spectral._scan_peaks(alpha, betas, kappa, 512, work)
+                rows = expect[kappa, variant]
                 assert radii.tolist() == [s.max_radius for s in rows]
                 assert grams.tolist() == [s.max_gram for s in rows]
+
+    def test_oracle_mismatches_equal_scalar_loop(self, monkeypatch):
+        # thresholds raised by 20 % make both conditions disagree with the scan
+        for name in ("necessary_beta_max", "max_stable_beta"):
+            monkeypatch.setattr(spectral, name, lambda *args, f=getattr(spectral, name): 1.2 * f(*args))
+        checked, mismatches = spectral.oracle_mismatches()
+        expect = _scalar_oracle_mismatches()
+        assert checked == 6720 and len(mismatches) > 100
+        assert {m.split()[0] for m in mismatches} == {"necessary", "criterion"}
+        assert mismatches == expect
 
     def test_shared_grid_is_read_only(self):
         theta, sin_xi = spectral._wavenumber_grid(256)
@@ -284,6 +299,26 @@ class TestScan:
                 oks.append(scan.max_gram <= 1.0 + 1e-10)
             flips = sum(1 for a, b in zip(oks, oks[1:]) if a != b)
             assert flips <= 1 and (not oks[-1])
+
+
+def _scalar_oracle_mismatches():
+    """oracle_mismatches as a loop of one-point spectral_radius_scan calls."""
+    alphas = np.round(np.arange(1, 31) * 0.05, 10)
+    betas = np.round(np.arange(1, 33) * 0.05, 10)
+    cases = [(k, QGD) for k in (1.0, 7.0 / 3.0, 4.0)] + [(k, QHD) for k in (0.0, 0.5, 1.0, 2.0)]
+    mismatches = []
+    for kappa, variant in cases:
+        for alpha in alphas:
+            nec_b = spectral.necessary_beta_max(float(alpha), kappa, variant)
+            crit_b = spectral.max_stable_beta(float(alpha), kappa, variant)
+            for beta in betas:
+                scan = spectral_radius_scan(LinearizedParams(float(alpha), float(beta), kappa, variant))
+                for name, threshold, peak in (("necessary", nec_b, scan.max_radius),
+                                              ("criterion", crit_b, scan.max_gram)):
+                    if abs(beta - threshold) > 1e-6 and (beta <= threshold) != (peak <= 1.0 + 1e-10):
+                        mismatches.append(f"{name} mismatch at alpha={alpha} beta={beta} "
+                                          f"kappa={kappa} {variant.value}")
+    return mismatches
 
 
 def _numeric_peaks(params, n_samples=2048):
@@ -486,13 +521,20 @@ def _serial_norm_check(params, n, steps, trials, seed, step_tol=1e-12, growth_to
     return max_step_ratio, max_total_growth, passed, violations
 
 
-@pytest.mark.parametrize("params, tols", [
+_MIXED_CASES = [
     (LinearizedParams(0.5, 0.9, 1.0), {}),                        # inside the criterion
     (LinearizedParams(0.45, 1.1, 1.5, QHD), {}),                  # in the margin
     (LinearizedParams(0.5, 1.02, 1.0), {}),                       # in the 5 % band
     (LinearizedParams(0.3, 0.4, 2.0), {"step_tol": -5e-3}),       # failing inside
     (LinearizedParams(0.5, 1.1, 1.0), {"growth_tol": 1e9}),       # failing in the margin
-])
+]
+
+
+def _fields(report):
+    return (report.max_step_ratio, report.max_total_growth, report.passed, report.violations)
+
+
+@pytest.mark.parametrize("params, tols", _MIXED_CASES)
 def test_batched_norm_check_equals_serial_loop(params, tols):
     expect = _serial_norm_check(params, n=64, steps=80, trials=3, seed=5, **tols)
     try:
@@ -500,9 +542,53 @@ def test_batched_norm_check_equals_serial_loop(params, tols):
     except ReportFailure as exc:
         report = exc.report
         assert not report.passed
-    got = (report.max_step_ratio, report.max_total_growth, report.passed, report.violations)
-    assert got == expect
+    assert _fields(report) == expect
     if tols.get("step_tol"):
         # some steps but not all violate, and they are listed in (trial, step) order
         assert 0 < len(report.violations) < 3 * 80
         assert [v[:2] for v in report.violations] == sorted(v[:2] for v in report.violations)
+
+
+def test_mixed_norm_batch_equals_serial_loops():
+    checks = [NormCheck(params, trials=3, seed=5 + i, **tols)
+              for i, (params, tols) in enumerate(_MIXED_CASES)]
+    reports = spectral._norm_reports(checks, n=64, steps=80)
+    assert [_fields(r) for r in reports] == [
+        _serial_norm_check(c.params, 64, 80, c.trials, c.seed, c.step_tol, c.growth_tol)
+        for c in checks]
+    assert [r.passed for r in reports] == [True, True, True, False, False]
+
+
+def test_failing_norm_batch_raises_first_failure():
+    checks = [NormCheck(params, trials=2, seed=9, **tols) for params, tols in _MIXED_CASES]
+    with pytest.raises(ReportFailure) as alone:
+        verify_norm_monotonicity(checks[3].params, n=64, steps=80, trials=2, seed=9, step_tol=-5e-3)
+    with pytest.raises(ReportFailure) as batch:
+        verify_norm_batch(checks, n=64, steps=80)
+    assert str(batch.value) == str(alone.value)
+    assert batch.value.report == alone.value.report
+
+
+def test_cli_norm_suite_equals_one_check_runs(monkeypatch):
+    # the suite's reports and every row's norm history equal one-check runs
+    histories, suites = [], []
+    report, batch = spectral._norm_report, cli.verify_norm_batch
+
+    def recording_report(check, n, steps, rows):
+        histories.append(rows)
+        return report(check, n, steps, rows)
+
+    def recording_batch(checks, n, steps):
+        suites.append((checks, batch(checks, n, steps)))
+        return suites[-1][1]
+
+    monkeypatch.setattr(spectral, "_norm_report", recording_report)
+    monkeypatch.setattr(cli, "verify_norm_batch", recording_batch)
+    assert cli._verify_norm_monotonicity_suite() == (True, "20 parameter points")
+    (checks, reports), = suites
+    batch_histories, histories[:] = list(histories), []
+    alone = [verify_norm_monotonicity(c.params, n=128, steps=120, trials=c.trials, seed=c.seed)
+             for c in checks]
+    assert len(reports) == 20 and reports == alone
+    assert batch_histories == histories
+    assert [r.criterion_holds for r in reports] == [True, False] * 10
