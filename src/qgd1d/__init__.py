@@ -8,7 +8,6 @@ from .errors import (
     EmptyTrajectory,
     InvalidKappa,
     LengthMismatch,
-    NonMonotonePressure,
     NonPositiveDensity,
     QgdError,
     ReportFailure,
@@ -27,7 +26,7 @@ from .experiments import (
     riemann_initial,
     sweep_region,
 )
-from .gas import GasModel, IsentropicLaw, TabulatedLaw
+from .gas import GasModel
 from .mesh import Boundary, Mesh, MeshState
 from .regularization import SchemeConfig, SchemeKind, Variant
 from .schemes import (

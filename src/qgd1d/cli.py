@@ -216,7 +216,7 @@ def serialize_config(cfg: dict) -> str:
 
 def build_model(cfg: dict) -> GasModel:
     gas = cfg["gas"]
-    return GasModel.isentropic(p1=float(gas["p1"]), gamma=float(gas["gamma"]), r0=float(gas["r0"]))
+    return GasModel(p1=float(gas["p1"]), gamma=float(gas["gamma"]), r0=float(gas["r0"]))
 
 
 def build_scheme(cfg: dict) -> SchemeConfig:
@@ -407,7 +407,7 @@ def _verify_norm_monotonicity_suite() -> tuple[bool, str]:
 
 
 def _verify_conservation() -> tuple[bool, str]:
-    model = GasModel.isentropic(p1=1.0, gamma=2.0)
+    model = GasModel(p1=1.0, gamma=2.0)
     mesh = Mesh(n=64, h=1.0 / 64.0, x_min=0.0, boundary=Boundary.PERIODIC)
     x = mesh.nodes
     rho0, u0 = 1.0 + 0.05 * np.sin(2 * np.pi * x), 0.05 * np.cos(2 * np.pi * x)

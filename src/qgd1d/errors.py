@@ -9,10 +9,6 @@ class NonPositiveDensity(QgdError):
     """Density left the admissible range rho > 0."""
 
 
-class NonMonotonePressure(QgdError):
-    """A pressure law returned p'(rho) <= 0."""
-
-
 class LengthMismatch(QgdError):
     """Array length inconsistent with the mesh or with a companion array."""
 

@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainMismatch, EmptyTrajectory
-from .gas import GasModel, IsentropicLaw
+from .gas import GasModel
 from .mesh import Boundary, Mesh, MeshState
 from .regularization import SchemeConfig, Variant
 from .schemes import Trajectory, run_batch, run_simulation
@@ -45,12 +45,14 @@ class RiemannSetup:
     t_end: float = 0.5
 
     def __post_init__(self):
-        if self.rho_left <= 0.0 or self.rho_right <= 0.0:
-            raise ValueError("both densities must be > 0")
+        if not (0.0 < self.rho_left < math.inf and 0.0 < self.rho_right < math.inf):
+            raise ValueError("both densities must be finite and > 0")
+        if not all(-math.inf < v < math.inf for v in (self.u_left, self.u_right, self.x0)):
+            raise ValueError("velocities and x0 must be finite")
         if not (self.x_min < self.x0 < self.x_max):
             raise ValueError("x0 must lie strictly inside the domain")
-        if self.h <= 0.0 or self.t_end <= 0.0:
-            raise ValueError("h and t_end must be > 0")
+        if not (0.0 < self.h < math.inf and 0.0 < self.t_end < math.inf):
+            raise ValueError("h and t_end must be finite and > 0")
 
     def mesh(self, boundary: Boundary = Boundary.OUTFLOW) -> Mesh:
         n = int(round((self.x_max - self.x_min) / self.h))
@@ -259,8 +261,7 @@ def sweep_region(setup: RiemannSetup, model: GasModel, base_cfg: SchemeConfig,
         verdicts[i][j] = verdict
 
     variant = base_cfg.regularization
-    shallow_water = (isinstance(model.law, IsentropicLaw)
-                     and model.law.p1 == 1.0 and model.law.gamma == 2.0
+    shallow_water = (model.p1 == 1.0 and model.gamma == 2.0
                      and variant is Variant.FULL_QGD and abs(kappa - SW_KAPPA) <= 1e-12)
     overlays = OverlayCurves(
         alphas=alphas,

@@ -9,6 +9,7 @@ operators built on it live with the stepping kernel in `schemes`.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,8 +34,10 @@ class Mesh:
     def __post_init__(self):
         if self.n < 3:
             raise ValueError("mesh needs at least 3 nodes")
-        if self.h <= 0.0:
-            raise ValueError("mesh spacing must be > 0")
+        if not 0.0 < self.h < math.inf:
+            raise ValueError("mesh spacing must be finite and > 0")
+        if not -math.inf < self.x_min < math.inf:
+            raise ValueError("x_min must be finite")
 
     @property
     def x_max(self) -> float:

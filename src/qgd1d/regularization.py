@@ -43,14 +43,14 @@ class SchemeConfig:
     c_ref: float | None = None
 
     def __post_init__(self):
-        if self.alpha <= 0.0:
-            raise ConfigError("alpha must be > 0")
-        if self.beta <= 0.0:
-            raise ConfigError("beta must be > 0")
-        if self.alpha_s < 0.0:
-            raise ConfigError("alpha_s must be >= 0")
-        if self.c_ref is not None and self.c_ref <= 0.0:
-            raise ConfigError("c_ref must be > 0 when given")
+        if not 0.0 < self.alpha < math.inf:
+            raise ConfigError("alpha must be finite and > 0")
+        if not 0.0 < self.beta < math.inf:
+            raise ConfigError("beta must be finite and > 0")
+        if not 0.0 <= self.alpha_s < math.inf:
+            raise ConfigError("alpha_s must be finite and >= 0")
+        if self.c_ref is not None and not 0.0 < self.c_ref < math.inf:
+            raise ConfigError("c_ref must be finite and > 0 when given")
 
     @property
     def kappa(self) -> float:

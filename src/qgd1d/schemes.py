@@ -241,10 +241,11 @@ def run_batch(initial: MeshState, model: GasModel, cfg: SchemeConfig, alphas, be
     betas[r]*h/c_ref.  Yields (r, Trajectory) as each row leaves the batch:
     the step after it reaches t_end, its last step clipped to land there, or
     at the step that overflows it.  Trajectories are those run_simulation
-    gives for the same parameters.
+    gives for the same parameters.  A t_end or a time step that is not
+    finite and > 0 raises ConfigError, since the run could not end.
     """
-    if t_end <= 0.0:
-        raise ValueError("t_end must be > 0")
+    if not 0.0 < t_end < np.inf:
+        raise ConfigError("t_end must be finite and > 0")
     if record_every < 1:
         raise ValueError("record_every must be >= 1")
     alphas, betas = np.asarray(alphas, dtype=float), np.asarray(betas, dtype=float)
@@ -254,6 +255,8 @@ def run_batch(initial: MeshState, model: GasModel, cfg: SchemeConfig, alphas, be
     cfg = cfg.resolve_c_ref(model, initial.rho)
     mesh = initial.mesh
     dts = betas * mesh.h / cfg.c_ref
+    if not np.all((dts > 0.0) & (dts < np.inf)):
+        raise ConfigError("every time step beta*h/c_ref must be finite and > 0")
     alphas = alphas[:, None]
 
     live = np.arange(alphas.shape[0])

@@ -42,7 +42,7 @@ from qgd1d import (
 
 QGD = Variant.FULL_QGD
 QHD = Variant.SIMPLIFIED_QHD
-MODEL = GasModel.isentropic(p1=1.0, gamma=2.0)
+MODEL = GasModel(p1=1.0, gamma=2.0)
 PAPER_SETUP = RiemannSetup(rho_left=1.0, u_left=0.1, rho_right=0.1, u_right=0.0,
                            x0=0.0, x_min=-1.0, x_max=1.0, h=1.0 / 125.0, t_end=0.5)
 

@@ -1,9 +1,11 @@
 """Config handling and the four subcommands."""
 
+import ast
 import csv
 import json
 import math
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -150,6 +152,21 @@ def test_cli_import_leaves_scipy_out(module):
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=60, check=True).stdout
     assert out.strip() == "False"
+
+
+def test_package_imports_only_the_standard_library_and_numpy():
+    # ast.walk enters function bodies, so a lazy import is found as well
+    allowed = set(sys.stdlib_module_names) | {"numpy", "qgd1d"}
+    package = pathlib.Path(qgd1d.__file__).parent
+    found = set()
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Import):
+                found |= {(path.name, alias.name.split(".")[0]) for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                found.add((path.name, node.module.split(".")[0]))
+    assert found, "no imports parsed"
+    assert sorted((name, mod) for name, mod in found if mod not in allowed) == []
 
 
 def _parse_field(text):

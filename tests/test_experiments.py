@@ -1,5 +1,6 @@
 """Riemann initial data, run classification, region sweeps."""
 
+import csv
 import math
 from dataclasses import replace
 
@@ -26,6 +27,7 @@ from qgd1d import (
     run_simulation,
     sweep_region,
 )
+from qgd1d import output
 from qgd1d.schemes import Trajectory
 
 
@@ -39,7 +41,7 @@ def _mirrored(setup):
     )
 
 
-MODEL = GasModel.isentropic(1.0, 2.0)
+MODEL = GasModel(1.0, 2.0)
 
 PAPER_SETUP = RiemannSetup(rho_left=1.0, u_left=0.1, rho_right=0.1, u_right=0.0,
                            x0=0.0, x_min=-1.0, x_max=1.0, h=1.0 / 125.0, t_end=0.5)
@@ -72,6 +74,13 @@ class TestRiemannInitial:
         traj = run_simulation(state, MODEL, enthalpy_cfg(0.4, 0.4, None), setup.t_end)
         assert np.allclose(traj.snapshots[-1][1].rho, 0.8, atol=1e-13)
         assert np.allclose(traj.snapshots[-1][1].u, 0.2, atol=1e-13)
+
+    @pytest.mark.parametrize("field", ["rho_left", "rho_right", "u_left", "u_right", "x0",
+                                       "h", "t_end"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_non_finite_parameters(self, field, value):
+        with pytest.raises(ValueError, match="finite"):
+            replace(PAPER_SETUP, **{field: value})
 
     def test_domain_mismatch(self):
         mesh = Mesh(n=100, h=0.05, x_min=-2.0, boundary=Boundary.OUTFLOW)
@@ -230,6 +239,20 @@ class TestSweep:
                 assert got.oscillation_score == want.oscillation_score
                 seen.add(got.classification)
         assert seen == set(Classification)
+
+    @pytest.mark.parametrize("model, shallow_water", [
+        (GasModel(p1=2.0), False), (GasModel(gamma=1.4), False), (GasModel(), True),
+    ], ids=["p1=2", "gamma=1.4", "p=rho^2"])
+    def test_sufficient_overlay_only_for_shallow_water(self, tmp_path, model, shallow_water):
+        region = sweep_region(self._small_setup(), model, enthalpy_cfg(0.4, 1.0, 2.0),
+                              alphas=[0.3, 0.6], betas=[0.1], beta_mode="absolute",
+                              record_every=5)
+        assert (region.overlays.sufficient is not None) is shallow_water
+        output.write_overlay_csv(str(tmp_path / "overlays.csv"), region)
+        with open(tmp_path / "overlays.csv", newline="") as f:
+            rows = list(csv.DictReader(f))
+        assert len(rows) == 2
+        assert all((row["beta_sufficient"] != "") is shallow_water for row in rows)
 
     def test_compare_transition_report(self):
         setup = self._small_setup()

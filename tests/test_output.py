@@ -22,7 +22,7 @@ from qgd1d import (
 from qgd1d import output
 from qgd1d.output import profile_svg, region_map_svg, write_diagnostics_csv, write_snapshot_csv
 
-MODEL = GasModel.isentropic(1.0, 2.0)
+MODEL = GasModel(1.0, 2.0)
 
 
 def _reference_fmt(x):

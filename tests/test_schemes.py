@@ -18,15 +18,15 @@ from qgd1d import (
     NonPositiveDensity,
     SchemeConfig,
     SchemeKind,
-    TabulatedLaw,
     Variant,
     linearized_step,
     run_simulation,
     step_batch,
 )
+from qgd1d import schemes
 from qgd1d.schemes import _half_mesh, _Workspace, run_batch
 
-MODEL = GasModel.isentropic(p1=1.0, gamma=2.0)
+MODEL = GasModel(p1=1.0, gamma=2.0)
 
 
 def _step(state, model, cfg, dt=None):
@@ -370,19 +370,19 @@ def test_step_batch_rejects_non_positive_input_density(bad):
         step_batch(rho, np.stack([state.u, state.u]), MODEL, cfg, state.mesh, 0.4, 0.01)
 
 
-@pytest.mark.parametrize("kind", [SchemeKind.STANDARD, SchemeKind.ENTHALPY])
-def test_tabulated_law_steps_like_the_isentropic_law(kind):
-    # p = rho**2 given as callables, with its enthalpy integrated by quad,
-    # against the closed form with the same anchor r0
-    tabulated = GasModel(TabulatedLaw(p=lambda r: np.asarray(r) ** 2,
-                                      p_prime=lambda r: 2.0 * np.asarray(r)), r0=0.5)
-    closed = GasModel.isentropic(p1=1.0, gamma=2.0, r0=0.5)
-    cfg = SchemeConfig(alpha=0.4, beta=0.3, alpha_s=1.0, scheme=kind, c_ref=1.5)
+def test_enthalpy_anchor_r0_only_shifts_h():
+    anchored, plain = GasModel(p1=1.3, gamma=1.6, r0=0.7), GasModel(p1=1.3, gamma=1.6)
+    assert anchored.enthalpy(0.7)[0] == pytest.approx(0.0, abs=1e-15)
+    rho = np.array([0.3, 1.1, 2.4, 4.0])
+    assert np.allclose(np.diff(anchored.enthalpy(rho)[0]), np.diff(plain.enthalpy(rho)[0]),
+                       rtol=0.0, atol=1e-14)
+    # the enthalpy scheme reads h only through its differences
+    cfg = SchemeConfig(alpha=0.4, beta=0.3, alpha_s=1.0, scheme=SchemeKind.ENTHALPY, c_ref=1.5)
     a = b = periodic_state(n=16, h=0.1, seed=3)
     for _ in range(3):
-        a, b = _step(a, tabulated, cfg), _step(b, closed, cfg)
-    assert np.allclose(a.rho, b.rho, rtol=0.0, atol=1e-10)
-    assert np.allclose(a.u, b.u, rtol=0.0, atol=1e-10)
+        a, b = _step(a, GasModel(r0=0.5), cfg), _step(b, GasModel(), cfg)
+    assert np.allclose(a.rho, b.rho, rtol=0.0, atol=1e-12)
+    assert np.allclose(a.u, b.u, rtol=0.0, atol=1e-12)
     assert not np.array_equal(a.u, periodic_state(n=16, h=0.1, seed=3).u)
 
 
@@ -475,6 +475,42 @@ def test_run_batch_rejects_malformed_grids(alphas, betas):
     cfg = SchemeConfig(alpha=0.4, beta=0.3, alpha_s=1.0, c_ref=1.5)
     with pytest.raises(ConfigError, match="1-D grids of equal length"):
         next(run_batch(state, MODEL, cfg, alphas, betas, t_end=0.1))
+
+
+def _bounded_steps(monkeypatch, limit=1000):
+    """Make run_batch fail, rather than loop for ever, past limit steps."""
+    calls = iter(range(limit))
+
+    def step(*args, **kwargs):
+        if next(calls, None) is None:
+            raise AssertionError(f"run_batch took more than {limit} steps")
+        return step_batch(*args, **kwargs)
+
+    monkeypatch.setattr(schemes, "step_batch", step)
+
+
+@pytest.mark.parametrize("beta, c_ref", [(0.45, math.inf), (1e-300, 1e300)],
+                         ids=["c_ref-inf", "dt-underflows-to-zero"])
+def test_run_rejects_a_zero_time_step(monkeypatch, beta, c_ref):
+    _bounded_steps(monkeypatch)
+    state = periodic_state(n=16, h=0.1, seed=2)
+    with pytest.raises(ConfigError):
+        run_simulation(state, MODEL, SchemeConfig(alpha=0.4, beta=beta, c_ref=c_ref), t_end=0.1)
+
+
+def test_run_batch_rejects_a_non_finite_time_step():
+    state = periodic_state(n=16, h=0.1, seed=2)
+    cfg = SchemeConfig(alpha=0.4, beta=0.3, alpha_s=1.0, c_ref=1.5)
+    with pytest.raises(ConfigError, match="time step"):
+        next(run_batch(state, MODEL, cfg, [0.4, 0.4], [0.3, math.inf], t_end=0.1))
+
+
+@pytest.mark.parametrize("t_end", [0.0, -0.1, math.nan, math.inf])
+def test_run_rejects_a_non_finite_or_non_positive_t_end(t_end):
+    state = periodic_state(n=16, h=0.1, seed=2)
+    cfg = SchemeConfig(alpha=0.4, beta=0.3, alpha_s=1.0, c_ref=1.5)
+    with pytest.raises(ConfigError, match="t_end"):
+        run_simulation(state, MODEL, cfg, t_end=t_end)
 
 
 def test_nan_density_reported_as_non_finite():
