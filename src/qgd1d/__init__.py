@@ -42,8 +42,6 @@ from .spectral import (
     NormMonotonicityReport,
     SpectrumScan,
     StabilityVerdict,
-    gram_matrix,
-    linearized_step,
     max_stable_beta,
     necessary_beta_max,
     optimal_alpha,
@@ -52,7 +50,6 @@ from .spectral import (
     stability_verdict,
     sufficient_beta_max_sw,
     verify_norm_batch,
-    verify_norm_monotonicity,
     weak_conservativeness_criterion,
 )
 

@@ -414,8 +414,7 @@ def _verify_conservation() -> tuple[bool, str]:
     mass0 = float(np.sum(rho0))
     mom0 = float(np.sum(rho0 * u0))
     for kind in (SchemeKind.STANDARD, SchemeKind.ENTHALPY):
-        cfg = SchemeConfig(alpha=0.5, beta=0.4, alpha_s=0.0, scheme=kind,
-                           c_ref=float(model.sound_speed(np.max(rho0))))
+        cfg = SchemeConfig(alpha=0.5, beta=0.4, alpha_s=0.0, scheme=kind).resolve_c_ref(model, rho0)
         dt = cfg.time_step(mesh.h)
         rho, u = rho0, u0
         for _ in range(200):

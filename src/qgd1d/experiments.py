@@ -20,10 +20,10 @@ import numpy as np
 from .errors import DomainMismatch, EmptyTrajectory
 from .gas import GasModel
 from .mesh import Boundary, Mesh, MeshState
-from .regularization import SchemeConfig, Variant
+from .regularization import SchemeConfig
 from .schemes import Trajectory, run_batch, run_simulation
 from .spectral import (
-    SW_KAPPA,
+    _sufficient_applies,
     max_stable_beta,
     necessary_beta_max,
     sufficient_beta_max_sw,
@@ -262,7 +262,7 @@ def sweep_region(setup: RiemannSetup, model: GasModel, base_cfg: SchemeConfig,
 
     variant = base_cfg.regularization
     shallow_water = (model.p1 == 1.0 and model.gamma == 2.0
-                     and variant is Variant.FULL_QGD and abs(kappa - SW_KAPPA) <= 1e-12)
+                     and _sufficient_applies(kappa, variant))
     overlays = OverlayCurves(
         alphas=alphas,
         necessary=np.array([necessary_beta_max(a, kappa, variant) for a in alphas]),

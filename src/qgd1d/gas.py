@@ -65,15 +65,6 @@ class GasModel:
             return float(p), float(dp)
         return p, dp
 
-    def enthalpy(self, rho: FloatOrArray):
-        """Return (h(rho), h'(rho)) with h'(rho) = p'(rho)/rho."""
-        arr = _check_density(rho)
-        h, hp = np.empty_like(arr), np.empty_like(arr)
-        self._evaluate(arr, h=h, hp=hp)
-        if np.ndim(rho) == 0:
-            return float(h), float(hp)
-        return h, hp
-
     def _evaluate(self, arr: np.ndarray, p=None, dp=None, h=None, hp=None) -> None:
         """p, p', h and h' of the positive float array arr, unchecked, into
         the arrays given (of arr's shape); an output left None is skipped.
@@ -95,8 +86,3 @@ class GasModel:
             np.multiply(_power(arr, g - 1.0, dp), g * p1, out=dp)
         if hp is not None:
             np.multiply(_power(arr, g - 2.0, hp), g * p1, out=hp)
-
-    def sound_speed(self, rho: FloatOrArray):
-        """sqrt(p'(rho))."""
-        _, dp = self.pressure(rho)
-        return np.sqrt(dp)

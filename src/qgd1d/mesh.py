@@ -40,10 +40,6 @@ class Mesh:
             raise ValueError("x_min must be finite")
 
     @property
-    def x_max(self) -> float:
-        return self.x_min + (self.n - 1) * self.h
-
-    @property
     def nodes(self) -> np.ndarray:
         return self.x_min + self.h * np.arange(self.n)
 
@@ -74,7 +70,3 @@ class MeshState:
         u.flags.writeable = False
         object.__setattr__(self, "rho", rho)
         object.__setattr__(self, "u", u)
-
-    @property
-    def momentum(self) -> np.ndarray:
-        return self.rho * self.u

@@ -4,7 +4,6 @@ formatting is deterministic, so identical inputs give byte-identical files."""
 from __future__ import annotations
 
 import csv
-import math
 import os
 import tempfile
 
@@ -34,8 +33,6 @@ def _fmt(x) -> str:
     if x is None:
         return ""
     if isinstance(x, float):
-        if math.isinf(x):
-            return "inf" if x > 0 else "-inf"
         return repr(float(x))  # np.float64 is a float whose repr is "np.float64(...)"
     return str(x)
 

@@ -19,6 +19,10 @@ class Variant(enum.Enum):
     FULL_QGD = "qgd"
     SIMPLIFIED_QHD = "qhd"
 
+    def kappa(self, alpha_s: float) -> float:
+        """Effective viscosity coefficient: alpha_s + 1 (full) or alpha_s (simplified)."""
+        return alpha_s + 1.0 if self is Variant.FULL_QGD else alpha_s
+
 
 class SchemeKind(enum.Enum):
     STANDARD = "standard"
@@ -54,10 +58,7 @@ class SchemeConfig:
 
     @property
     def kappa(self) -> float:
-        """Effective viscosity coefficient: alpha_s + 1 (full) or alpha_s (simplified)."""
-        if self.regularization is Variant.FULL_QGD:
-            return self.alpha_s + 1.0
-        return self.alpha_s
+        return self.regularization.kappa(self.alpha_s)
 
     def time_step(self, h: float) -> float:
         if self.c_ref is None:

@@ -215,7 +215,6 @@ class Trajectory:
 
     snapshots: list[tuple[float, MeshState]]
     diagnostics: Diagnostics
-    completed: bool
     overflow: bool
     steps: int
     note: str = ""
@@ -250,8 +249,8 @@ def run_batch(initial: MeshState, model: GasModel, cfg: SchemeConfig, alphas, be
         raise ValueError("record_every must be >= 1")
     alphas, betas = np.asarray(alphas, dtype=float), np.asarray(betas, dtype=float)
     if (alphas.ndim != 1 or alphas.shape != betas.shape
-            or not (np.all(alphas > 0.0) and np.all(betas > 0.0))):
-        raise ConfigError("alphas and betas must be 1-D grids of equal length and > 0")
+            or not (np.all((alphas > 0.0) & (alphas < np.inf)) and np.all(betas > 0.0))):
+        raise ConfigError("alphas and betas must be 1-D grids of equal length and > 0, alphas finite")
     cfg = cfg.resolve_c_ref(model, initial.rho)
     mesh = initial.mesh
     dts = betas * mesh.h / cfg.c_ref
@@ -274,8 +273,7 @@ def run_batch(initial: MeshState, model: GasModel, cfg: SchemeConfig, alphas, be
         if not overflow and snapshots[r][-1][0] < t[k]:
             snapshots[r].append((float(t[k]), MeshState(mesh, rho[k], u[k], float(t[k]))))
         diagnostics = Diagnostics(*(np.asarray(c, dtype=float) for c in zip(*diag[r])))
-        traj = Trajectory(snapshots[r], diagnostics, completed=not overflow, overflow=overflow,
-                          steps=steps, note=note)
+        traj = Trajectory(snapshots[r], diagnostics, overflow=overflow, steps=steps, note=note)
         diag[r] = snapshots[r] = None
         return r, traj
 

@@ -2,12 +2,12 @@
 
 Both nonlinear schemes share one linearization around a constant background:
 a two-level recurrence in the scaled perturbations (rho, u) whose Fourier
-symbol is the 2x2 matrix G(xi).  This module provides that recurrence, the
-symbol and its Gram matrix, closed-form stability thresholds (the spectral
-necessary condition and the L2 weak-conservativeness criterion, for both
-regularization variants, plus a published sufficient bound for the scaled
-shallow-water law), and a brute-force spectral scan used as an independent
-oracle for all of them.
+symbol is the 2x2 matrix G(xi).  This module provides that recurrence,
+closed-form stability thresholds (the spectral necessary condition and the
+L2 weak-conservativeness criterion, for both regularization variants, plus a
+published sufficient bound for the scaled shallow-water law), a brute-force
+spectral scan used as an independent oracle for all of them, and a direct
+check of norm monotonicity.
 
 With w1 = 4*alpha*beta*sin^2(xi/2) and w2 = beta*sin(xi), the symbol is
 
@@ -41,10 +41,9 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import InvalidKappa, LengthMismatch, ReportFailure
+from .errors import InvalidKappa, ReportFailure
 from .regularization import Variant
 
-SW_KAPPA = 7.0 / 3.0  # effective viscosity of the published sufficient bound
 _BLOCK_SAMPLES = 32768  # samples per scan buffer: 16 betas of 2 049, 256 KB of float64
 
 
@@ -73,8 +72,7 @@ class LinearizedParams:
                      variant: Variant = Variant.FULL_QGD) -> "LinearizedParams":
         if alpha_s < 0.0:
             raise InvalidKappa("alpha_s must be >= 0")
-        kappa = alpha_s + 1.0 if variant is Variant.FULL_QGD else alpha_s
-        return cls(alpha, beta, kappa, variant)
+        return cls(alpha, beta, variant.kappa(alpha_s), variant)
 
 
 def _check_kappa(kappa: float, variant: Variant) -> None:
@@ -88,25 +86,15 @@ def _check_kappa(kappa: float, variant: Variant) -> None:
 # linearized recurrence and its symbol
 
 
-def linearized_step(rho, u, params: LinearizedParams):
-    """One step of the linearized scheme on a periodic mesh.
-
-        rho+ = rho - (beta/2)(u_+ - u_-)   + alpha*beta       (rho_+ - 2 rho + rho_-)
-        u+   = u   - (beta/2)(rho_+ - rho_-) + kappa*alpha*beta (u_+ - 2 u + u_-)
-
-    rho and u are 1D arrays or (rows, n) batches of independent meshes; the
-    mesh runs along the last axis, and each row equals its own 1D step bit
-    for bit.  Complex-valued arrays are allowed.
-    """
-    rho = np.asarray(rho)
-    u = np.asarray(u)
-    if rho.shape != u.shape or rho.ndim not in (1, 2):
-        raise LengthMismatch("rho and u must be 1D or (rows, n) arrays of equal shape")
-    return _recurrence(rho, u, params.alpha, params.beta, params.kappa)
-
-
 def _recurrence(rho, u, a, b, k):
-    """linearized_step with alpha, beta and kappa as scalars or (rows, 1) columns."""
+    """One step of the linearized scheme on a periodic mesh,
+
+        rho+ = rho - (b/2)(u_+ - u_-)   + a*b   (rho_+ - 2 rho + rho_-)
+        u+   = u   - (b/2)(rho_+ - rho_-) + k*a*b (u_+ - 2 u + u_-),
+
+    along the last axis of the (complex) rho and u, with alpha, beta and
+    kappa as scalars a, b, k or as (rows, 1) columns, one value per row.
+    Each row of a batch equals its own 1D step bit for bit."""
     # the periodic neighbours v_{k+1} and v_{k-1}: np.roll(v, -1) and np.roll(v, 1)
     rho_p = np.concatenate((rho[..., 1:], rho[..., :1]), axis=-1)
     rho_m = np.concatenate((rho[..., -1:], rho[..., :-1]), axis=-1)
@@ -128,7 +116,7 @@ def _wavenumber_grid(n_samples: int):
     return theta, sin_xi
 
 
-def gram_matrix(xi: float, params: LinearizedParams) -> np.ndarray:
+def _gram_matrix(xi: float, params: LinearizedParams) -> np.ndarray:
     """The Hermitian product G(xi)^H G(xi), formed numerically from
     G(xi) = [[1 - w1, -i w2], [-i w2, 1 - kappa w1]]."""
     xi = float(xi)
@@ -184,7 +172,6 @@ class SpectrumScan:
 
     max_radius: float     # max over xi of the spectral radius of G
     max_gram: float       # max over xi of the largest eigenvalue of G^H G
-    n_samples: int        # samples on the full circle; n_samples//2 + 1 are distinct
 
 
 def spectral_radius_scan(params: LinearizedParams, n_samples: int = 4096) -> SpectrumScan:
@@ -195,8 +182,7 @@ def spectral_radius_scan(params: LinearizedParams, n_samples: int = 4096) -> Spe
         raise ValueError("n_samples must be >= 64")
     radius, gram = _scan_peaks(params.alpha, np.array([params.beta]), params.kappa, n_samples,
                                np.empty((3, 1, n_samples // 2 + 1)))
-    return SpectrumScan(max_radius=float(radius[0]), max_gram=float(gram[0]),
-                        n_samples=n_samples)
+    return SpectrumScan(max_radius=float(radius[0]), max_gram=float(gram[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -217,6 +203,11 @@ def max_stable_beta(alpha: float, kappa: float, variant: Variant = Variant.FULL_
     if variant is Variant.SIMPLIFIED_QHD and kappa <= 1.0:
         return min(2.0 * kappa * alpha, 1.0 / (2.0 * alpha))
     return min(2.0 * alpha, 1.0 / (2.0 * kappa * alpha))
+
+
+def _sufficient_applies(kappa: float, variant: Variant) -> bool:
+    """True in the published sufficient bound's context: full variant, kappa = 7/3."""
+    return variant is Variant.FULL_QGD and abs(kappa - 7.0 / 3.0) <= 1e-12
 
 
 def sufficient_beta_max_sw(alpha: float) -> float:
@@ -275,8 +266,8 @@ def stability_verdict(params: LinearizedParams, n_samples: int = 4096) -> Stabil
     """
     nec_b = necessary_beta_max(params.alpha, params.kappa, params.variant)
     crit_b = max_stable_beta(params.alpha, params.kappa, params.variant)
-    shallow_water = params.variant is Variant.FULL_QGD and abs(params.kappa - SW_KAPPA) <= 1e-12
-    suff_b = sufficient_beta_max_sw(params.alpha) if shallow_water else None
+    applies = _sufficient_applies(params.kappa, params.variant)
+    suff_b = sufficient_beta_max_sw(params.alpha) if applies else None
     scan = spectral_radius_scan(params, n_samples)
     near = min(abs(params.beta - nec_b), abs(params.beta - crit_b)) <= BOUNDARY_BAND
     return StabilityVerdict(
@@ -347,7 +338,7 @@ def _worst_mode_data(params: LinearizedParams, n: int):
     h2, norm, scratch = np.empty((3, 1, n))
     _norms(np.array([[params.beta]]), c, d, s * s, h2, norm, scratch)
     xi_star = 2.0 * np.pi * int(np.argmax(norm)) / n
-    eigvals, eigvecs = np.linalg.eigh(gram_matrix(xi_star, params))
+    eigvals, eigvecs = np.linalg.eigh(_gram_matrix(xi_star, params))
     top = eigvecs[:, int(np.argmax(eigvals))]
     phase = np.exp(1j * xi_star * np.arange(n))
     return top[0] * phase, top[1] * phase
@@ -355,7 +346,7 @@ def _worst_mode_data(params: LinearizedParams, n: int):
 
 @dataclass(frozen=True)
 class NormCheck:
-    """The arguments of one verify_norm_monotonicity call but n and steps."""
+    """One check of verify_norm_batch: parameters, trials, seed and tolerances."""
 
     params: LinearizedParams
     trials: int = 8
@@ -420,25 +411,14 @@ def _norm_reports(checks, n: int, steps: int) -> list[NormMonotonicityReport]:
 
 
 def verify_norm_batch(checks, n: int = 128, steps: int = 200) -> list[NormMonotonicityReport]:
-    """Run norm checks on one n-point mesh as one batch; their reports, in
-    order.  Raises ReportFailure, with its report, for the first that fails."""
+    """Check norm monotonicity for each check on one n-point mesh, all rows as
+    one batch; their reports, in order.  Inside the criterion every trial's
+    norm must be non-increasing step by step; outside it trial 0 is the worst
+    mode, which must grow once beta exceeds the threshold by 5% or more.
+    Raises ReportFailure, with its report, for the first check that fails."""
     reports = _norm_reports(list(checks), n, steps)
     for report in reports:
         if not report.passed:
             raise ReportFailure(f"norm-monotonicity check failed at {len(report.violations)} "
                                 f"point(s): {report.violations[:3]}", report=report)
     return reports
-
-
-def verify_norm_monotonicity(params: LinearizedParams, n: int = 128, steps: int = 200,
-                  trials: int = 8, seed: int = 0,
-                  step_tol: float = 1e-12, growth_tol: float = 1e-6) -> NormMonotonicityReport:
-    """Check norm monotonicity against the closed-form criterion.
-
-    Inside the criterion every trial's norm must be non-increasing step by
-    step.  Outside it by a margin of at least 5%, the worst-mode trial must
-    grow.  Raises ReportFailure when the applicable assertion is violated.
-    The one-check case of verify_norm_batch: all trials advance as one batch,
-    and trial 0 is the worst mode when the criterion fails.
-    """
-    return verify_norm_batch([NormCheck(params, trials, seed, step_tol, growth_tol)], n, steps)[0]

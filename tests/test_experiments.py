@@ -101,7 +101,7 @@ class TestRiemannInitial:
         fwd = run_simulation(riemann_initial(setup, mesh), MODEL, cfg, setup.t_end)
         mirrored = _mirrored(setup)
         bwd = run_simulation(riemann_initial(mirrored, mesh), MODEL, cfg, setup.t_end)
-        assert fwd.completed and bwd.completed
+        assert not fwd.overflow and not bwd.overflow
         f, b = fwd.snapshots[-1][1], bwd.snapshots[-1][1]
         assert np.allclose(b.rho, f.rho[::-1], rtol=1e-10, atol=1e-12)
         assert np.allclose(b.u, -f.u[::-1], rtol=1e-10, atol=1e-12)
@@ -144,7 +144,7 @@ class TestClassify:
         from qgd1d.schemes import Diagnostics
 
         empty = Trajectory(snapshots=[], diagnostics=Diagnostics(*(np.zeros(0),) * 5),
-                           completed=True, overflow=False, steps=0)
+                           overflow=False, steps=0)
         with pytest.raises(EmptyTrajectory):
             classify_run(empty, ClassifyThresholds())
 

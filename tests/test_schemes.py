@@ -19,14 +19,22 @@ from qgd1d import (
     SchemeConfig,
     SchemeKind,
     Variant,
-    linearized_step,
     run_simulation,
     step_batch,
 )
 from qgd1d import schemes
 from qgd1d.schemes import _half_mesh, _Workspace, run_batch
+from qgd1d.spectral import _recurrence
 
 MODEL = GasModel(p1=1.0, gamma=2.0)
+
+
+def _enthalpy(model, rho):
+    """(h(rho), h'(rho)) through the kernel's unchecked GasModel._evaluate."""
+    arr = np.asarray(rho, dtype=float)
+    h, hp = np.empty_like(arr), np.empty_like(arr)
+    model._evaluate(arr, h=h, hp=hp)
+    return h, hp
 
 
 def _step(state, model, cfg, dt=None):
@@ -72,7 +80,7 @@ def _scalar_fluxes(state, model, cfg, kind):
         return model.pressure(r)
 
     def hfun(r):
-        return model.enthalpy(r)
+        return _enthalpy(model, r)
 
     full = cfg.regularization is Variant.FULL_QGD
     j = np.empty(n + 1)
@@ -133,8 +141,8 @@ def _scalar_step(state, model, cfg, kind, dt):
             fr = j[k + 1] * su_r - pi[k + 1]
             srho_l = 0.5 * (rho[k] + rho[k + 1])
             srho_r = 0.5 * (rho[k + 1] + rho[k + 2])
-            dh_l = (model.enthalpy(rho[k + 1])[0] - model.enthalpy(rho[k])[0]) / h
-            dh_r = (model.enthalpy(rho[k + 2])[0] - model.enthalpy(rho[k + 1])[0]) / h
+            dh_l = (_enthalpy(model, rho[k + 1])[0] - _enthalpy(model, rho[k])[0]) / h
+            dh_r = (_enthalpy(model, rho[k + 2])[0] - _enthalpy(model, rho[k + 1])[0]) / h
             force = 0.5 * (srho_l * dh_l + srho_r * dh_r)
             m_new[k] = rho[k + 1] * u[k + 1] - dt * ((fr - fl) / h + force)
     return rho_new, m_new / rho_new
@@ -197,16 +205,15 @@ def test_small_velocity_bump_mass_flux():
                                                  (SchemeKind.ENTHALPY, False)])
 def test_periodic_conservation(kind, check_momentum):
     state = periodic_state(n=48, h=1.0 / 48.0, seed=3, amp=0.1, u_amp=0.1)
-    cfg = SchemeConfig(alpha=0.5, beta=0.3, alpha_s=0.5, scheme=kind,
-                       c_ref=float(MODEL.sound_speed(np.max(state.rho))))
+    cfg = SchemeConfig(alpha=0.5, beta=0.3, alpha_s=0.5, scheme=kind).resolve_c_ref(MODEL, state.rho)
     h = state.mesh.h
     mass0 = h * float(np.sum(state.rho))
-    mom0 = h * float(np.sum(state.momentum))
+    mom0 = h * float(np.sum(state.rho * state.u))
     for _ in range(300):
         state = _step(state, MODEL, cfg)
     assert h * float(np.sum(state.rho)) == pytest.approx(mass0, rel=1e-12)
     if check_momentum:
-        assert h * float(np.sum(state.momentum)) == pytest.approx(mom0, abs=1e-12)
+        assert h * float(np.sum(state.rho * state.u)) == pytest.approx(mom0, abs=1e-12)
 
 
 @pytest.mark.parametrize("kind", [SchemeKind.STANDARD, SchemeKind.ENTHALPY])
@@ -244,7 +251,7 @@ def test_linearization_agreement(kind, variant):
     r = rng.standard_normal(n)
     v = rng.standard_normal(n)
     rho_star, alpha, beta, alpha_s = 1.0, 0.4, 0.3, 4.0 / 3.0
-    c_star = float(MODEL.sound_speed(rho_star))
+    c_star = math.sqrt(MODEL.pressure(rho_star)[1])
     params = LinearizedParams.from_alpha_s(alpha, beta, alpha_s, variant)
     ratios = []
     for eps in (1e-4, 1e-5, 1e-6):
@@ -252,7 +259,8 @@ def test_linearization_agreement(kind, variant):
                            scheme=kind, c_ref=c_star)
         state = MeshState(mesh, rho_star + eps * r, eps * v)
         out = _step(state, MODEL, cfg)
-        rho_t, u_t = linearized_step(eps * r / rho_star, eps * v / c_star, params)
+        rho_t, u_t = _recurrence(eps * r / rho_star, eps * v / c_star,
+                                 params.alpha, params.beta, params.kappa)
         mismatch = max(
             float(np.max(np.abs(out.rho - rho_star * (1.0 + rho_t)))),
             float(np.max(np.abs(out.u - c_star * u_t))),
@@ -372,9 +380,9 @@ def test_step_batch_rejects_non_positive_input_density(bad):
 
 def test_enthalpy_anchor_r0_only_shifts_h():
     anchored, plain = GasModel(p1=1.3, gamma=1.6, r0=0.7), GasModel(p1=1.3, gamma=1.6)
-    assert anchored.enthalpy(0.7)[0] == pytest.approx(0.0, abs=1e-15)
+    assert _enthalpy(anchored, 0.7)[0] == pytest.approx(0.0, abs=1e-15)
     rho = np.array([0.3, 1.1, 2.4, 4.0])
-    assert np.allclose(np.diff(anchored.enthalpy(rho)[0]), np.diff(plain.enthalpy(rho)[0]),
+    assert np.allclose(np.diff(_enthalpy(anchored, rho)[0]), np.diff(_enthalpy(plain, rho)[0]),
                        rtol=0.0, atol=1e-14)
     # the enthalpy scheme reads h only through its differences
     cfg = SchemeConfig(alpha=0.4, beta=0.3, alpha_s=1.0, scheme=SchemeKind.ENTHALPY, c_ref=1.5)
@@ -398,7 +406,7 @@ def _reference_run(initial, cfg, t_end, record_every):
 
     def diag(state):
         h = state.mesh.h
-        return (state.t, h * float(np.sum(state.rho)), h * float(np.sum(state.momentum)),
+        return (state.t, h * float(np.sum(state.rho)), h * float(np.sum(state.rho * state.u)),
                 float(np.min(state.rho)), float(np.max(np.abs(state.u))))
 
     state, steps, overflow = initial, 0, False
@@ -505,6 +513,16 @@ def test_run_batch_rejects_a_non_finite_time_step():
         next(run_batch(state, MODEL, cfg, [0.4, 0.4], [0.3, math.inf], t_end=0.1))
 
 
+@pytest.mark.parametrize("alphas", [[math.inf], [0.4, math.inf], [math.nan]],
+                         ids=["inf", "inf-in-second-row", "nan"])
+def test_run_batch_rejects_a_non_finite_alpha(alphas):
+    # an infinite alpha would turn tau infinite and end its row as an overflow
+    state = periodic_state(n=16, h=0.1, seed=2)
+    cfg = SchemeConfig(alpha=0.4, beta=0.3, c_ref=1.0)
+    with pytest.raises(ConfigError, match="alphas finite"):
+        next(run_batch(state, MODEL, cfg, alphas, [0.3] * len(alphas), t_end=0.1))
+
+
 @pytest.mark.parametrize("t_end", [0.0, -0.1, math.nan, math.inf])
 def test_run_rejects_a_non_finite_or_non_positive_t_end(t_end):
     state = periodic_state(n=16, h=0.1, seed=2)
@@ -526,7 +544,7 @@ def test_nan_density_reported_as_non_finite():
     rows = dict(run_batch(initial, MODEL, cfg, alphas, [0.3, 0.3], t_end=0.9))
     assert (rows[1].overflow, rows[1].steps) == (True, 0)
     assert rows[1].note == "non-finite value at t=0.3"
-    assert rows[0].completed and rows[0].steps == 3
+    assert not rows[0].overflow and rows[0].steps == 3
 
 
 def test_run_constant_state_round_trip():
@@ -534,7 +552,7 @@ def test_run_constant_state_round_trip():
     state = MeshState(mesh, np.full(10, 1.2), np.full(10, -0.3))
     cfg = SchemeConfig(alpha=0.5, beta=0.5, alpha_s=0.0, scheme=SchemeKind.ENTHALPY)
     traj = run_simulation(state, MODEL, cfg, t_end=0.123, record_every=3)
-    assert traj.completed and not traj.overflow
+    assert not traj.overflow
     t_final, final = traj.snapshots[-1]
     assert t_final == pytest.approx(0.123, rel=1e-12)
     assert np.allclose(final.rho, 1.2, atol=1e-13)
@@ -547,7 +565,7 @@ def test_run_flags_overflow_instead_of_raising():
     state = periodic_state(n=32, h=1.0 / 32.0, seed=8, amp=0.3, u_amp=0.5)
     cfg = SchemeConfig(alpha=0.3, beta=6.0, alpha_s=1.0, scheme=SchemeKind.STANDARD)
     traj = run_simulation(state, MODEL, cfg, t_end=1.0)
-    assert traj.overflow and not traj.completed
+    assert traj.overflow
     assert traj.note
 
 

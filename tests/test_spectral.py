@@ -10,13 +10,10 @@ from hypothesis import strategies as st
 from qgd1d import cli, spectral
 from qgd1d import (
     InvalidKappa,
-    LengthMismatch,
     LinearizedParams,
     NormCheck,
     ReportFailure,
     Variant,
-    gram_matrix,
-    linearized_step,
     max_stable_beta,
     necessary_beta_max,
     optimal_alpha,
@@ -24,12 +21,21 @@ from qgd1d import (
     stability_verdict,
     sufficient_beta_max_sw,
     verify_norm_batch,
-    verify_norm_monotonicity,
     weak_conservativeness_criterion,
 )
 
 QGD = Variant.FULL_QGD
 QHD = Variant.SIMPLIFIED_QHD
+
+
+def _step(rho, u, p):
+    """One step of the linearized recurrence with the parameters p."""
+    return spectral._recurrence(rho, u, p.alpha, p.beta, p.kappa)
+
+
+def _norm_check(params, n, steps, trials, seed, **tols):
+    """The report of one norm check, run alone."""
+    return verify_norm_batch([NormCheck(params, trials, seed, **tols)], n, steps)[0]
 
 
 def _symbol_matrix(xi, params):
@@ -43,7 +49,7 @@ def _symbol_matrix(xi, params):
 class TestLinearizedStep:
     def test_constant_state_unchanged(self):
         p = LinearizedParams(0.5, 0.8, 2.0)
-        rho, u = linearized_step(np.full(16, 1.3 + 0.2j), np.full(16, -0.7), p)
+        rho, u = _step(np.full(16, 1.3 + 0.2j), np.full(16, -0.7), p)
         assert np.allclose(rho, 1.3 + 0.2j, atol=1e-15)
         assert np.allclose(u, -0.7, atol=1e-15)
 
@@ -54,7 +60,7 @@ class TestLinearizedStep:
             xi = 2.0 * math.pi * mode / n
             wave = np.exp(1j * xi * np.arange(n))
             a, b = 0.8 - 0.1j, 0.4 + 0.9j
-            rho, u = linearized_step(a * wave, b * wave, p)
+            rho, u = _step(a * wave, b * wave, p)
             expect = _symbol_matrix(xi, p) @ np.array([a, b])
             assert np.allclose(rho, expect[0] * wave, rtol=1e-13, atol=1e-14)
             assert np.allclose(u, expect[1] * wave, rtol=1e-13, atol=1e-14)
@@ -67,30 +73,18 @@ class TestLinearizedStep:
         u = rng.standard_normal(128) + 1j * rng.standard_normal(128)
         norm0 = np.sqrt(np.sum(np.abs(rho) ** 2 + np.abs(u) ** 2))
         for _ in range(100):
-            rho, u = linearized_step(rho, u, p)
+            rho, u = _step(rho, u, p)
         norm1 = np.sqrt(np.sum(np.abs(rho) ** 2 + np.abs(u) ** 2))
         assert norm1 == pytest.approx(norm0, rel=1e-12)
-
-    def test_length_mismatch(self):
-        p = LinearizedParams(0.5, 1.0, 1.0)
-        with pytest.raises(LengthMismatch):
-            linearized_step(np.zeros(4), np.zeros(5), p)
-
-    def test_rank_and_shape_checked(self):
-        p = LinearizedParams(0.5, 1.0, 1.0)
-        with pytest.raises(LengthMismatch):
-            linearized_step(np.zeros((2, 4)), np.zeros((4, 2)), p)
-        with pytest.raises(LengthMismatch):
-            linearized_step(np.zeros((2, 2, 4)), np.zeros((2, 2, 4)), p)
 
     def test_batched_rows_equal_single_steps(self):
         p = LinearizedParams(0.35, 0.7, 7.0 / 3.0)
         rng = np.random.default_rng(11)
         rho = rng.standard_normal((5, 48)) + 1j * rng.standard_normal((5, 48))
         u = rng.standard_normal((5, 48)) + 1j * rng.standard_normal((5, 48))
-        rho_b, u_b = linearized_step(rho, u, p)
+        rho_b, u_b = _step(rho, u, p)
         for row in range(5):
-            rho_1, u_1 = linearized_step(rho[row], u[row], p)
+            rho_1, u_1 = _step(rho[row], u[row], p)
             assert np.array_equal(rho_b[row], rho_1)
             assert np.array_equal(u_b[row], u_1)
 
@@ -106,7 +100,7 @@ class TestLinearizedStep:
         u_p, u_m = np.roll(u, -1, axis=-1), np.roll(u, 1, axis=-1)
         rho_want = rho - 0.5 * b * (u_p - u_m) + a * b * (rho_p - 2.0 * rho + rho_m)
         u_want = u - 0.5 * b * (rho_p - rho_m) + k * a * b * (u_p - 2.0 * u + u_m)
-        rho_new, u_new = linearized_step(rho, u, p)
+        rho_new, u_new = _step(rho, u, p)
         assert np.array_equal(rho_new, rho_want)
         assert np.array_equal(u_new, u_want)
 
@@ -125,7 +119,7 @@ class TestLinearizedStep:
         expect_rho = np.fft.ifft(out_hat[0])
         expect_u = np.fft.ifft(out_hat[1])
         for _ in range(m):
-            rho, u = linearized_step(rho, u, p)
+            rho, u = _step(rho, u, p)
         assert np.allclose(rho, expect_rho, rtol=1e-10, atol=1e-10)
         assert np.allclose(u, expect_u, rtol=1e-10, atol=1e-10)
 
@@ -135,21 +129,22 @@ class TestGram:
         p = LinearizedParams(0.45, 0.8, 7.0 / 3.0)
         for xi in (0.3, 1.1, 2.9, 5.5):
             g = _symbol_matrix(xi, p)
-            assert np.allclose(gram_matrix(xi, p), g.conj().T @ g, rtol=1e-15)
+            assert np.allclose(spectral._gram_matrix(xi, p), g.conj().T @ g, rtol=1e-15)
 
     def test_scalar_at_kappa_one(self):
         p = LinearizedParams(0.4, 0.9, 1.0)
         for xi in np.linspace(0.0, 2.0 * math.pi, 33):
-            m = gram_matrix(float(xi), p)
+            m = spectral._gram_matrix(float(xi), p)
             assert abs(m[0, 1]) < 1e-15 and abs(m[1, 0]) < 1e-15
             assert m[0, 0] == pytest.approx(m[1, 1], rel=1e-15)
 
     def test_identity_at_zero_wavenumber(self):
-        assert np.array_equal(gram_matrix(0.0, LinearizedParams(0.9, 1.4, 4.0)), np.eye(2))
+        gram = spectral._gram_matrix(0.0, LinearizedParams(0.9, 1.4, 4.0))
+        assert np.array_equal(gram, np.eye(2))
 
     def test_diagonal_at_pi(self):
         p = LinearizedParams(0.7, 0.9, 3.0)
-        m = gram_matrix(math.pi, p)
+        m = spectral._gram_matrix(math.pi, p)
         w1 = 4.0 * 0.7 * 0.9
         assert m[0, 0] == pytest.approx((1.0 - w1) ** 2, rel=1e-15)
         assert m[1, 1] == pytest.approx((1.0 - 3.0 * w1) ** 2, rel=1e-15)
@@ -157,7 +152,7 @@ class TestGram:
 
     def test_unitary_quarter_wave_reference_point(self):
         # G(pi/2) = [[0, -i], [-i, 0]] at alpha=0.5, beta=1, kappa=1
-        assert np.allclose(gram_matrix(math.pi / 2.0, LinearizedParams(0.5, 1.0, 1.0)),
+        assert np.allclose(spectral._gram_matrix(math.pi / 2.0, LinearizedParams(0.5, 1.0, 1.0)),
                            np.eye(2), atol=1e-15)
 
 
@@ -447,27 +442,25 @@ class TestVerdict:
 
 class TestLemma1:
     def test_inside_criterion_never_grows(self):
-        report = verify_norm_monotonicity(LinearizedParams(0.5, 0.9, 1.0), n=128, steps=150,
-                               trials=4, seed=1)
+        report = _norm_check(LinearizedParams(0.5, 0.9, 1.0), n=128, steps=150, trials=4, seed=1)
         assert report.passed and report.criterion_holds
         assert report.max_step_ratio <= 1.0 + 1e-12
 
     def test_outside_criterion_worst_mode_grows(self):
-        report = verify_norm_monotonicity(LinearizedParams(0.5, 1.1, 1.0), n=128, steps=150,
-                               trials=2, seed=2)
+        report = _norm_check(LinearizedParams(0.5, 1.1, 1.0), n=128, steps=150, trials=2, seed=2)
         assert report.passed and not report.criterion_holds and report.margin_checked
         assert report.max_total_growth > 1.0 + 1e-6
 
     def test_zero_data_stays_zero(self):
         p = LinearizedParams(0.5, 0.9, 1.0)
-        rho, u = linearized_step(np.zeros(32, complex), np.zeros(32, complex), p)
+        rho, u = _step(np.zeros(32, complex), np.zeros(32, complex), p)
         assert np.all(rho == 0) and np.all(u == 0)
 
     def test_report_failure_raised_on_forced_violation(self):
         # inside the criterion with an impossible tolerance must report
         with pytest.raises(ReportFailure) as err:
-            verify_norm_monotonicity(LinearizedParams(0.5, 0.9, 1.0), n=64, steps=50,
-                          trials=2, seed=3, step_tol=-0.5)
+            _norm_check(LinearizedParams(0.5, 0.9, 1.0), n=64, steps=50, trials=2, seed=3,
+                        step_tol=-0.5)
         assert err.value.report is not None
         assert err.value.report.violations
 
@@ -482,7 +475,7 @@ def _serial_norm_check(params, n, steps, trials, seed, step_tol=1e-12, growth_to
     if not criterion:
         modes = 2.0 * np.pi * np.arange(n) / n
         xi_star = float(modes[int(np.argmax(_reference_spectra(params, n)[1]))])
-        eigvals, eigvecs = np.linalg.eigh(gram_matrix(xi_star, params))
+        eigvals, eigvecs = np.linalg.eigh(spectral._gram_matrix(xi_star, params))
         top = eigvecs[:, int(np.argmax(eigvals))]
         phase = np.exp(1j * xi_star * np.arange(n))
         datasets.append((top[0] * phase, top[1] * phase))
@@ -499,7 +492,7 @@ def _serial_norm_check(params, n, steps, trials, seed, step_tol=1e-12, growth_to
         norm0 = prev = norm(rho, u)
         best = 1.0
         for m in range(1, steps + 1):
-            rho, u = linearized_step(rho, u, params)
+            rho, u = _step(rho, u, params)
             cur = norm(rho, u)
             if prev > 0.0:
                 ratio = cur / prev
@@ -538,7 +531,7 @@ def _fields(report):
 def test_batched_norm_check_equals_serial_loop(params, tols):
     expect = _serial_norm_check(params, n=64, steps=80, trials=3, seed=5, **tols)
     try:
-        report = verify_norm_monotonicity(params, n=64, steps=80, trials=3, seed=5, **tols)
+        report = _norm_check(params, n=64, steps=80, trials=3, seed=5, **tols)
     except ReportFailure as exc:
         report = exc.report
         assert not report.passed
@@ -562,7 +555,7 @@ def test_mixed_norm_batch_equals_serial_loops():
 def test_failing_norm_batch_raises_first_failure():
     checks = [NormCheck(params, trials=2, seed=9, **tols) for params, tols in _MIXED_CASES]
     with pytest.raises(ReportFailure) as alone:
-        verify_norm_monotonicity(checks[3].params, n=64, steps=80, trials=2, seed=9, step_tol=-5e-3)
+        _norm_check(checks[3].params, n=64, steps=80, trials=2, seed=9, step_tol=-5e-3)
     with pytest.raises(ReportFailure) as batch:
         verify_norm_batch(checks, n=64, steps=80)
     assert str(batch.value) == str(alone.value)
@@ -587,7 +580,7 @@ def test_cli_norm_suite_equals_one_check_runs(monkeypatch):
     assert cli._verify_norm_monotonicity_suite() == (True, "20 parameter points")
     (checks, reports), = suites
     batch_histories, histories[:] = list(histories), []
-    alone = [verify_norm_monotonicity(c.params, n=128, steps=120, trials=c.trials, seed=c.seed)
+    alone = [_norm_check(c.params, n=128, steps=120, trials=c.trials, seed=c.seed)
              for c in checks]
     assert len(reports) == 20 and reports == alone
     assert batch_histories == histories
