@@ -71,17 +71,13 @@ def estimate_signal_speed(setup: RiemannSetup, model: GasModel, base_cfg: Scheme
     c_ref that makes beta the Courant number of the fastest wave, which for
     strong jumps travels well above the initial sound speeds.
     """
-    mesh = setup.mesh(Boundary.OUTFLOW)
-    initial = riemann_initial(setup, mesh)
-    c0 = np.sqrt(model.pressure(initial.rho)[1])
-    s0 = float(np.max(np.abs(initial.u) + c0))
-    cfg = replace(base_cfg, beta=_SIGNAL_SPEED_COURANT, c_ref=s0)
+    def fastest(state: MeshState) -> float:
+        return float(np.max(np.abs(state.u) + np.sqrt(model.pressure(state.rho)[1])))
+
+    initial = riemann_initial(setup, setup.mesh(Boundary.OUTFLOW))
+    cfg = replace(base_cfg, beta=_SIGNAL_SPEED_COURANT, c_ref=fastest(initial))
     traj = run_simulation(initial, model, cfg, setup.t_end, record_every=_SIGNAL_SPEED_RECORD_EVERY)
-    speed = s0
-    for _, state in traj.snapshots:
-        c = np.sqrt(model.pressure(state.rho)[1])
-        speed = max(speed, float(np.max(np.abs(state.u) + c)))
-    return speed
+    return max(fastest(state) for _, state in traj.snapshots)  # the first is the initial state
 
 
 def riemann_initial(setup: RiemannSetup, mesh: Mesh) -> MeshState:
@@ -142,8 +138,8 @@ def classify_run(traj: Trajectory, thresholds: ClassifyThresholds) -> RunVerdict
 
     Overflow wins outright.  Otherwise the oscillation score is the largest
     TV(rho)/TV0(rho) over the snapshots (defined as 0 while the state stays
-    flat), and the density corridor is checked against both the snapshots
-    and the per-step minimum-density diagnostic.
+    flat).  The density corridor is checked against the snapshots' maxima
+    and the per-step minimum-density diagnostic, which covers every state.
     """
     if not traj.snapshots:
         raise EmptyTrajectory("trajectory has no snapshots")
@@ -159,8 +155,7 @@ def classify_run(traj: Trajectory, thresholds: ClassifyThresholds) -> RunVerdict
             score = max(score, tv / tv0)
         elif tv > 1e-12:
             score = math.inf
-        rho_min, rho_max = float(np.min(state.rho)), float(np.max(state.rho))
-        if rho_min < thresholds.rho_floor or rho_max > thresholds.rho_ceil:
+        if float(np.max(state.rho)) > thresholds.rho_ceil:
             corridor_ok = False
     if float(np.min(traj.diagnostics.min_rho)) < thresholds.rho_floor:
         corridor_ok = False
@@ -221,7 +216,8 @@ def sweep_region(setup: RiemannSetup, model: GasModel, base_cfg: SchemeConfig,
     """Run one simulation per (alpha, beta) cell and classify it.
 
     base_cfg fixes the scheme kind, regularization variant, alpha_s and
-    c_ref; alpha and beta are taken from the grids.  The cells are dealt
+    c_ref (run_batch resolves an unset one from the initial density); alpha
+    and beta are taken from the grids.  The cells are dealt
     round-robin into `workers` shards and each shard advances as one batch
     (run_batch); with workers > 1 each shard runs in its own pool process.
     Rows are independent and verdicts are written back by cell index, so
@@ -236,16 +232,10 @@ def sweep_region(setup: RiemannSetup, model: GasModel, base_cfg: SchemeConfig,
     if thresholds is None:
         thresholds = ClassifyThresholds.for_setup(setup)
 
-    base_cfg = base_cfg.resolve_c_ref(model, np.array([setup.rho_left, setup.rho_right]))
-    kappa = base_cfg.kappa
-
-    actual = np.empty((alphas.size, betas.size))
-    cells = []
-    for i, a in enumerate(alphas):
-        scale = max_stable_beta(a, kappa, base_cfg.regularization) if beta_mode == "relative" else 1.0
-        for j, b in enumerate(betas):
-            actual[i, j] = b * scale
-            cells.append((i, j, float(a), float(actual[i, j])))
+    kappa, variant = base_cfg.kappa, base_cfg.regularization
+    criterion = np.array([max_stable_beta(a, kappa, variant) for a in alphas])
+    actual = betas * (criterion[:, None] if beta_mode == "relative" else np.ones((alphas.size, 1)))
+    cells = [(i, j, float(alphas[i]), float(b)) for (i, j), b in np.ndenumerate(actual)]
 
     n_shards = max(1, min(workers, len(cells)))
     shards = [(cells[k::n_shards], setup, model, base_cfg, thresholds, record_every)
@@ -260,13 +250,12 @@ def sweep_region(setup: RiemannSetup, model: GasModel, base_cfg: SchemeConfig,
     for i, j, verdict in (cell for shard in results for cell in shard):
         verdicts[i][j] = verdict
 
-    variant = base_cfg.regularization
     shallow_water = (model.p1 == 1.0 and model.gamma == 2.0
                      and _sufficient_applies(kappa, variant))
     overlays = OverlayCurves(
         alphas=alphas,
         necessary=np.array([necessary_beta_max(a, kappa, variant) for a in alphas]),
-        criterion=np.array([max_stable_beta(a, kappa, variant) for a in alphas]),
+        criterion=criterion,
         sufficient=np.array([sufficient_beta_max_sw(a) for a in alphas]) if shallow_water else None)
     return RegionMap(alphas=alphas, betas=betas, beta_mode=beta_mode,
                      actual_betas=actual, verdicts=verdicts, overlays=overlays)

@@ -3,8 +3,12 @@
 The names are pinned so that any addition or removal shows up in a diff."""
 
 import dataclasses
+import importlib
+import importlib.util
+import pathlib
 import types
 
+import numpy as np
 import pytest
 
 import qgd1d
@@ -46,3 +50,35 @@ def _members(owner) -> set:
 def test_removed_member_is_gone(owner, name):
     assert name not in _members(owner)
     assert name not in vars(qgd1d)
+
+
+def _benchmark_tracing():
+    """perfbench/tracing.py, which imports only the standard library."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_hooks_exist():
+    # the benchmark wraps these by name; a rename would silently empty its metrics
+    tracing = _benchmark_tracing()
+    modules = {layer: importlib.import_module(f"qgd1d.{layer}") for layer in tracing.LAYERS}
+    hooks = {tracing.CELL, *tracing.KEEP, "schemes.step_batch", "schemes.run_batch",
+             *(f"cli.{name}" for name in ("main", "load_config", "build_model", "build_scheme",
+                                          "build_mesh", "build_setup", "build_thresholds")),
+             "experiments.riemann_initial"}
+    for hook in sorted(hooks):
+        layer, name = hook.split(".")
+        assert callable(getattr(modules[layer], name, None)), hook
+    # the batch runner calls the step through the module global the benchmark patches
+    assert "step_batch" in modules["schemes"].run_batch.__code__.co_names
+    for name in ("run_simulation", "classify_run"):
+        assert name in modules["cli"].cmd_solve.__code__.co_names
+    # and reads snapshots as (t, MeshState) pairs
+    mesh = Mesh(n=8, h=0.125)
+    traj = qgd1d.run_simulation(MeshState(mesh, np.ones(8), np.zeros(8)), GasModel(),
+                                qgd1d.SchemeConfig(alpha=0.4, beta=0.4, alpha_s=0.0), 0.01)
+    t, state = traj.snapshots[-1]
+    assert isinstance(t, float) and isinstance(state, MeshState)

@@ -28,7 +28,7 @@ from qgd1d import (
     sweep_region,
 )
 from qgd1d import output
-from qgd1d.schemes import Trajectory
+from qgd1d.schemes import Diagnostics, Trajectory
 
 
 def _mirrored(setup):
@@ -141,12 +141,43 @@ class TestClassify:
         assert not verdict.completed
 
     def test_empty_trajectory_rejected(self):
-        from qgd1d.schemes import Diagnostics
-
         empty = Trajectory(snapshots=[], diagnostics=Diagnostics(*(np.zeros(0),) * 5),
                            overflow=False, steps=0)
         with pytest.raises(EmptyTrajectory):
             classify_run(empty, ClassifyThresholds())
+
+    @staticmethod
+    def _hand_made(profiles, min_rho):
+        """A completed trajectory with one snapshot per density profile and
+        the given per-step minimum densities."""
+        mesh = Mesh(n=len(profiles[0]), h=0.1, boundary=Boundary.OUTFLOW)
+        snapshots = [(0.1 * k, MeshState(mesh, rho, np.zeros(mesh.n), 0.1 * k))
+                     for k, rho in enumerate(profiles)]
+        t = np.linspace(0.0, 0.1 * (len(profiles) - 1), len(min_rho))
+        diagnostics = Diagnostics(t, np.ones_like(t), np.zeros_like(t), np.asarray(min_rho),
+                                  np.zeros_like(t))
+        return Trajectory(snapshots, diagnostics, overflow=False, steps=len(min_rho) - 1)
+
+    def test_floor_dip_between_snapshots_is_non_conservative(self):
+        # every snapshot stays above the floor; only the per-step record dips
+        traj = self._hand_made([[1.0, 1.0, 0.5], [1.0, 1.0, 0.5]], min_rho=[0.5, 0.2, 0.5])
+        verdict = classify_run(traj, ClassifyThresholds(rho_floor=0.3, rho_ceil=2.0))
+        assert verdict.oscillation_score == 1.0
+        assert verdict.classification is Classification.NON_CONSERVATIVE
+
+    def test_snapshot_above_ceiling_is_non_conservative(self):
+        traj = self._hand_made([[1.0, 1.0, 0.5], [1.0, 2.5, 1.75]], min_rho=[0.5, 0.5])
+        verdict = classify_run(traj, ClassifyThresholds(tv_ratio_max=10.0, rho_floor=0.3,
+                                                        rho_ceil=2.0))
+        assert verdict.oscillation_score == 4.5  # below tv_ratio_max: the ceiling decides
+        assert verdict.classification is Classification.NON_CONSERVATIVE
+
+    def test_flat_start_that_develops_variation_scores_inf(self):
+        traj = self._hand_made([[1.0, 1.0, 1.0], [1.0, 1.0, 1.0], [1.0, 1.1, 1.0]],
+                               min_rho=[1.0, 1.0, 1.0])
+        verdict = classify_run(traj, ClassifyThresholds())
+        assert verdict.oscillation_score == math.inf
+        assert verdict.classification is Classification.NON_CONSERVATIVE
 
     def test_thresholds_from_setup(self):
         thr = ClassifyThresholds.for_setup(PAPER_SETUP)
@@ -168,6 +199,16 @@ class TestSweep:
         assert len(region.verdicts) == 2 and len(region.verdicts[0]) == 3
         assert region.overlays.sufficient is not None  # p = rho^2, kappa = 7/3
         assert np.all(region.overlays.criterion <= region.overlays.necessary + 1e-15)
+
+    @pytest.mark.parametrize("alphas, betas, beta_mode, match", [
+        ([], [0.5], "absolute", "non-empty"),
+        ([0.4], [], "relative", "non-empty"),
+        ([0.4], [0.5], "log", "beta_mode"),
+    ])
+    def test_invalid_grid_rejected(self, alphas, betas, beta_mode, match):
+        with pytest.raises(ValueError, match=match):
+            sweep_region(self._small_setup(), MODEL, enthalpy_cfg(0.4, 1.0, None),
+                         alphas=alphas, betas=betas, beta_mode=beta_mode)
 
     def test_relative_mode_scales_by_criterion(self):
         setup = self._small_setup()
