@@ -75,9 +75,10 @@ def estimate_signal_speed(setup: RiemannSetup, model: GasModel, base_cfg: Scheme
         return float(np.max(np.abs(state.u) + np.sqrt(model.pressure(state.rho)[1])))
 
     initial = riemann_initial(setup, setup.mesh(Boundary.OUTFLOW))
-    cfg = replace(base_cfg, beta=_SIGNAL_SPEED_COURANT, c_ref=fastest(initial))
+    s0 = fastest(initial)
+    cfg = replace(base_cfg, beta=_SIGNAL_SPEED_COURANT, c_ref=s0)
     traj = run_simulation(initial, model, cfg, setup.t_end, record_every=_SIGNAL_SPEED_RECORD_EVERY)
-    return max(fastest(state) for _, state in traj.snapshots)  # the first is the initial state
+    return max(s0, *(fastest(state) for _, state in traj.snapshots[1:]))  # [0] is the initial state
 
 
 def riemann_initial(setup: RiemannSetup, mesh: Mesh) -> MeshState:
@@ -216,8 +217,7 @@ def sweep_region(setup: RiemannSetup, model: GasModel, base_cfg: SchemeConfig,
     """Run one simulation per (alpha, beta) cell and classify it.
 
     base_cfg fixes the scheme kind, regularization variant, alpha_s and
-    c_ref (run_batch resolves an unset one from the initial density); alpha
-    and beta are taken from the grids.  The cells are dealt
+    c_ref; alpha and beta are taken from the grids.  The cells are dealt
     round-robin into `workers` shards and each shard advances as one batch
     (run_batch); with workers > 1 each shard runs in its own pool process.
     Rows are independent and verdicts are written back by cell index, so
@@ -232,6 +232,7 @@ def sweep_region(setup: RiemannSetup, model: GasModel, base_cfg: SchemeConfig,
     if thresholds is None:
         thresholds = ClassifyThresholds.for_setup(setup)
 
+    base_cfg = base_cfg.resolve_c_ref(model, np.array([setup.rho_left, setup.rho_right]))
     kappa, variant = base_cfg.kappa, base_cfg.regularization
     criterion = np.array([max_stable_beta(a, kappa, variant) for a in alphas])
     actual = betas * (criterion[:, None] if beta_mode == "relative" else np.ones((alphas.size, 1)))

@@ -361,24 +361,28 @@ def _norm_report(check: NormCheck, n: int, steps: int, histories) -> NormMonoton
     threshold = max_stable_beta(params.alpha, params.kappa, params.variant)
     criterion = params.beta <= threshold
     margin = (not criterion) and params.beta >= 1.05 * threshold
-    norms = np.asarray(histories, dtype=float).reshape(-1, steps + 1)
-    prev, cur = norms[:, :-1], norms[:, 1:]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # NaN marks what the check skips: fmax, like max(), passes over it
-        ratios = np.where(prev > 0.0, cur / prev, np.nan)
-        growth = np.where(norms[:, :1] > 0.0, cur / norms[:, :1], np.nan)
-    max_step_ratio = float(np.fmax.reduce(ratios, axis=None, initial=0.0))
-    max_total_growth = float(np.fmax.reduce(growth, axis=None, initial=1.0)) if len(norms) else 0.0
+    violations, max_step_ratio, max_total_growth = [], 0.0, 0.0
+    for trial, history in enumerate(histories):
+        norm0 = prev = history[0]
+        best = 1.0
+        for m, cur in enumerate(history[1:], start=1):
+            if prev > 0.0:
+                ratio = cur / prev
+                max_step_ratio = max(max_step_ratio, ratio)
+                if criterion and ratio > 1.0 + check.step_tol:
+                    violations.append((trial, m, ratio))
+            if norm0 > 0.0:
+                best = max(best, cur / norm0)
+            prev = cur
+        max_total_growth = max(max_total_growth, best)
     if criterion:
-        hits = ratios > 1.0 + check.step_tol
-        violations = [(trial, m + 1, ratio)  # in (trial, step) order
-                      for (trial, m), ratio in zip(np.argwhere(hits).tolist(), ratios[hits].tolist())]
         passed = not violations
     elif margin:
         passed = max_total_growth > 1.0 + check.growth_tol
-        violations = [] if passed else [("worst-mode", steps, max_total_growth)]
+        if not passed:
+            violations.append(("worst-mode", steps, max_total_growth))
     else:
-        passed, violations = True, []  # inside the 5% band: nothing asserted either way
+        passed = True  # inside the 5% band: nothing asserted either way
     return NormMonotonicityReport(params, n, steps, check.trials, criterion, margin,
                                   max_step_ratio, max_total_growth, violations, passed)
 
@@ -401,8 +405,9 @@ def _norm_reports(checks, n: int, steps: int) -> list[NormMonotonicityReport]:
     for _ in range(steps):
         rho, u = _recurrence(rho, u, a, b, k)
         norms.append(_row_norms(rho, u))
-    histories = np.split(np.array(norms).T, np.cumsum(counts)[:-1])
-    return [_norm_report(check, n, steps, rows) for check, rows in zip(checks, histories)]
+    histories = iter(np.array(norms).T.tolist())
+    return [_norm_report(check, n, steps, [next(histories) for _ in range(count)])
+            for check, count in zip(checks, counts)]
 
 
 def verify_norm_batch(checks, n: int = 128, steps: int = 200) -> list[NormMonotonicityReport]:

@@ -397,6 +397,19 @@ class TestVerify:
         assert out.count("PASS") == 3
         assert "FAIL" not in out
 
+    @pytest.mark.parametrize("blow_up, detail", [
+        (lambda rho, u: (rho * math.nan, u), "mass drift for standard"),
+        (lambda rho, u: (rho, u * math.nan), "momentum drift for standard scheme"),
+    ], ids=["nan-density", "nan-velocity"])
+    def test_conservation_fails_when_the_scheme_blows_up(self, monkeypatch, capsys, blow_up, detail):
+        # a NaN sum must fail the check, not slip through a comparison
+        from qgd1d import cli
+
+        monkeypatch.setattr(cli, "step_batch", lambda rho, u, *args: blow_up(rho, u))
+        assert main(["verify"]) == 1
+        out = capsys.readouterr().out
+        assert f"suite discrete-conservation   : FAIL  ({detail})" in out
+
     def test_takes_no_config(self):
         with pytest.raises(SystemExit) as exc:
             main(["verify", str(DEMO_CONFIG)])

@@ -583,6 +583,5 @@ def test_cli_norm_suite_equals_one_check_runs(monkeypatch):
     alone = [_norm_check(c.params, n=128, steps=120, trials=c.trials, seed=c.seed)
              for c in checks]
     assert len(reports) == 20 and reports == alone
-    assert len(batch_histories) == len(histories)
-    assert all(map(np.array_equal, batch_histories, histories))
+    assert batch_histories == histories
     assert [r.criterion_holds for r in reports] == [True, False] * 10
