@@ -261,8 +261,11 @@ def build_thresholds(cfg: dict, setup: RiemannSetup) -> ClassifyThresholds:
 def _worker_count(cfg: dict) -> int:
     workers = int(cfg["sweep"]["workers"])
     if workers == 0:
-        workers = int(os.environ.get("QGD1D_WORKERS", "1"))
-    return max(1, workers)
+        raw = os.environ.get("QGD1D_WORKERS", "1")
+        workers = int(raw) if raw.strip().isdecimal() else 0
+        if workers < 1:
+            raise _fail("QGD1D_WORKERS", f"must be an integer >= 1, got {raw!r}")
+    return workers
 
 
 # ---------------------------------------------------------------------------

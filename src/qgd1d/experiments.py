@@ -2,10 +2,10 @@
 
 A sweep runs one simulation per (alpha, beta) cell, classifies each run as
 conservative / non-conservative / overflow from the growth of the total
-variation of the density (and a density corridor), and lays the closed-form
-stability curves over the resulting map.  The cells are split into one
-shard per worker process, and each shard advances all its cells as one
-[cells, n] batch on the schemes' array kernel.
+variation of the density (and a per-step density corridor), and lays the
+closed-form stability curves over the resulting map.  The cells are split
+into one shard per worker process, and each shard advances all its cells as
+one [cells, n] batch on the schemes' array kernel.
 """
 
 from __future__ import annotations
@@ -139,8 +139,8 @@ def classify_run(traj: Trajectory, thresholds: ClassifyThresholds) -> RunVerdict
 
     Overflow wins outright.  Otherwise the oscillation score is the largest
     TV(rho)/TV0(rho) over the snapshots (defined as 0 while the state stays
-    flat).  The density corridor is checked against the snapshots' maxima
-    and the per-step minimum-density diagnostic, which covers every state.
+    flat).  The density corridor is checked against the per-step min_rho
+    and max_rho diagnostics, which cover every state.
     """
     if not traj.snapshots:
         raise EmptyTrajectory("trajectory has no snapshots")
@@ -149,19 +149,15 @@ def classify_run(traj: Trajectory, thresholds: ClassifyThresholds) -> RunVerdict
 
     tv0 = _total_variation(traj.snapshots[0][1].rho)
     score = 0.0
-    corridor_ok = True
     for _, state in traj.snapshots:
         tv = _total_variation(state.rho)
         if tv0 > 0.0:
             score = max(score, tv / tv0)
         elif tv > 1e-12:
             score = math.inf
-        if float(np.max(state.rho)) > thresholds.rho_ceil:
-            corridor_ok = False
-    if float(np.min(traj.diagnostics.min_rho)) < thresholds.rho_floor:
-        corridor_ok = False
-
-    if score > thresholds.tv_ratio_max or not corridor_ok:
+    d = traj.diagnostics
+    if (score > thresholds.tv_ratio_max or float(np.min(d.min_rho)) < thresholds.rho_floor
+            or float(np.max(d.max_rho)) > thresholds.rho_ceil):
         return RunVerdict(Classification.NON_CONSERVATIVE, score, completed=True)
     return RunVerdict(Classification.CONSERVATIVE, score, completed=True)
 

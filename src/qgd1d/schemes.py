@@ -49,7 +49,7 @@ runs on one mesh advance in one call.  `step_batch` is the one public step,
 of one state (1-D arrays) or of a batch of rows; `run_batch` (whose one-row
 case is `run_simulation`) calls it once per step on one `_Workspace` of
 temporaries, and finds overflow from the per-step diagnostics it records
-anyway: min_rho > 0, max(rho) < inf and a finite max|u|.
+anyway: min_rho > 0, max_rho < inf and a finite max_abs_u.
 """
 
 from __future__ import annotations
@@ -207,6 +207,7 @@ class Diagnostics:
     momentum: np.ndarray
     min_rho: np.ndarray
     max_abs_u: np.ndarray
+    max_rho: np.ndarray
 
 
 @dataclass
@@ -222,8 +223,7 @@ class Trajectory:
 
 def _diagnostics(t: np.ndarray, rho: np.ndarray, u: np.ndarray, h: float,
                  scratch: np.ndarray) -> np.ndarray:
-    """Columns t, mass, momentum, min_rho, max_abs_u and max(rho) per row, the
-    last for the overflow test only; the products go into scratch (rho's shape)."""
+    """The Diagnostics columns per row; the products go into scratch (rho's shape)."""
     with np.errstate(all="ignore"):
         return np.stack((t, h * np.sum(rho, axis=-1),
                          h * np.sum(np.multiply(rho, u, out=scratch), axis=-1),
@@ -263,7 +263,7 @@ def run_batch(initial: MeshState, model: GasModel, cfg: SchemeConfig, alphas, be
     u = np.tile(initial.u, (live.size, 1))
     t = np.full(live.size, initial.t)
     work, scratch = _Workspace(rho.shape), np.empty_like(rho)
-    diag = [[row] for row in _diagnostics(t, rho, u, mesh.h, scratch)[:, :5].tolist()]
+    diag = [[row] for row in _diagnostics(t, rho, u, mesh.h, scratch).tolist()]
     snapshots = [[(initial.t, initial)] for _ in live]
     steps = 0
     eps = 1e-12 * max(1.0, abs(t_end))
@@ -298,7 +298,7 @@ def run_batch(initial: MeshState, model: GasModel, cfg: SchemeConfig, alphas, be
         if not ok.all():
             live, rho, u, t, d = live[ok], rho[ok], u[ok], t[ok], d[ok]
         steps += 1
-        for r, row in zip(live.tolist(), d[:, :5].tolist()):
+        for r, row in zip(live.tolist(), d.tolist()):
             diag[r].append(row)
         if steps % record_every == 0:
             for k, r in enumerate(live.tolist()):

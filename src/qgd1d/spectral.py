@@ -355,10 +355,10 @@ class NormCheck:
     growth_tol: float = 1e-6
 
 
-def _norm_report(check: NormCheck, n: int, steps: int, histories) -> NormMonotonicityReport:
-    """The report of one check from the norm history of each of its rows."""
+def _norm_report(check: NormCheck, n: int, steps: int, histories,
+                 threshold: float) -> NormMonotonicityReport:
+    """The report of one check from its rows' norm histories and its threshold."""
     params = check.params
-    threshold = max_stable_beta(params.alpha, params.kappa, params.variant)
     criterion = params.beta <= threshold
     margin = (not criterion) and params.beta >= 1.05 * threshold
     violations, max_step_ratio, max_total_growth = [], 0.0, 0.0
@@ -390,10 +390,11 @@ def _norm_report(check: NormCheck, n: int, steps: int, histories) -> NormMonoton
 def _norm_reports(checks, n: int, steps: int) -> list[NormMonotonicityReport]:
     """Step the rows of all checks as one (rows, n) batch, each row with its
     check's alpha, beta and kappa, and report every check without raising."""
-    datasets, columns, counts = [], [], []
+    datasets, columns, counts, thresholds = [], [], [], []
     for check in checks:
         params, rng = check.params, np.random.default_rng(check.seed)
-        rows = [] if weak_conservativeness_criterion(params) else [_worst_mode_data(params, n)]
+        thresholds.append(max_stable_beta(params.alpha, params.kappa, params.variant))
+        rows = [] if params.beta <= thresholds[-1] else [_worst_mode_data(params, n)]
         rows += [(rng.standard_normal(n) + 1j * rng.standard_normal(n),
                   rng.standard_normal(n) + 1j * rng.standard_normal(n)) for _ in range(check.trials)]
         datasets += rows
@@ -406,8 +407,8 @@ def _norm_reports(checks, n: int, steps: int) -> list[NormMonotonicityReport]:
         rho, u = _recurrence(rho, u, a, b, k)
         norms.append(_row_norms(rho, u))
     histories = iter(np.array(norms).T.tolist())
-    return [_norm_report(check, n, steps, [next(histories) for _ in range(count)])
-            for check, count in zip(checks, counts)]
+    return [_norm_report(check, n, steps, [next(histories) for _ in range(count)], threshold)
+            for check, count, threshold in zip(checks, counts, thresholds)]
 
 
 def verify_norm_batch(checks, n: int = 128, steps: int = 200) -> list[NormMonotonicityReport]:
@@ -419,6 +420,8 @@ def verify_norm_batch(checks, n: int = 128, steps: int = 200) -> list[NormMonoto
     reports = _norm_reports(list(checks), n, steps)
     for report in reports:
         if not report.passed:
-            raise ReportFailure(f"norm-monotonicity check failed at {len(report.violations)} "
+            p = report.params
+            raise ReportFailure(f"norm-monotonicity check failed at alpha={p.alpha} beta={p.beta} "
+                                f"kappa={p.kappa} {p.variant.value}: {len(report.violations)} "
                                 f"point(s): {report.violations[:3]}", report=report)
     return reports

@@ -1,7 +1,9 @@
 """Config handling and the four subcommands."""
 
 import ast
+import collections
 import csv
+import hashlib
 import json
 import math
 import os
@@ -31,7 +33,8 @@ from qgd1d.errors import ConfigError
 from qgd1d.experiments import classify_run, compare_transition, riemann_initial, sweep_region
 from qgd1d.schemes import run_simulation
 
-DEMO_CONFIG = pathlib.Path(__file__).resolve().parents[1] / "configs" / "riemann_demo.json"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+DEMO_CONFIG = ROOT / "configs" / "riemann_demo.json"
 
 
 class TestConfig:
@@ -389,6 +392,17 @@ class TestSweep:
                              r.monotone, r.transition, r.gap_to_criterion,
                              r.gap_to_necessary, r.gap_to_sufficient) for r in rows])
 
+    def test_demo_sweep_region_is_byte_identical_to_the_reference(self, tmp_path):
+        # the demo sweep's region.csv, full-precision scores included, must not move
+        reference = json.loads((ROOT / "perfbench" / "references.json").read_text(
+            encoding="utf-8"))["sweep-demo"]["full"]
+        assert main(["sweep", str(DEMO_CONFIG), "sweep.workers=1", "--out", str(tmp_path)]) == 0
+        region = (tmp_path / "region.csv").read_bytes()
+        assert hashlib.md5(region).hexdigest() == reference["region_md5"]
+        with open(tmp_path / "region.csv", newline="", encoding="utf-8") as f:
+            counts = collections.Counter(row["verdict"] for row in csv.DictReader(f))
+        assert dict(counts) == reference["verdicts"]
+
 
 class TestVerify:
     def test_all_suites_pass(self, capsys):
@@ -416,7 +430,7 @@ class TestVerify:
         assert exc.value.code == 2
 
 
-def test_worker_count_env_var(monkeypatch):
+def test_worker_count_env_var(monkeypatch, tmp_path, capsys):
     from qgd1d.cli import _worker_count
 
     cfg = validate_config({})
@@ -427,3 +441,12 @@ def test_worker_count_env_var(monkeypatch):
     assert _worker_count(cfg) == 6
     explicit = validate_config({"sweep": {"workers": 3}})
     assert _worker_count(explicit) == 3  # config beats the environment
+    for raw in ("abc", "-3", "0", "2.5", ""):
+        monkeypatch.setenv("QGD1D_WORKERS", raw)
+        with pytest.raises(ConfigError, match="QGD1D_WORKERS: must be an integer >= 1"):
+            _worker_count(cfg)
+    assert _worker_count(explicit) == 3  # a set config never reads the variable
+    monkeypatch.setenv("QGD1D_WORKERS", "abc")  # the demo config leaves sweep.workers at 0
+    assert main(["sweep", str(DEMO_CONFIG), "--out", str(tmp_path / "out")]) == 1
+    assert "QGD1D_WORKERS: must be an integer >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

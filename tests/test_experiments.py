@@ -141,40 +141,50 @@ class TestClassify:
         assert not verdict.completed
 
     def test_empty_trajectory_rejected(self):
-        empty = Trajectory(snapshots=[], diagnostics=Diagnostics(*(np.zeros(0),) * 5),
+        empty = Trajectory(snapshots=[], diagnostics=Diagnostics(*(np.zeros(0),) * 6),
                            overflow=False, steps=0)
         with pytest.raises(EmptyTrajectory):
             classify_run(empty, ClassifyThresholds())
 
     @staticmethod
-    def _hand_made(profiles, min_rho):
+    def _hand_made(profiles, min_rho, max_rho):
         """A completed trajectory with one snapshot per density profile and
-        the given per-step minimum densities."""
+        the given per-step minimum and maximum densities."""
         mesh = Mesh(n=len(profiles[0]), h=0.1, boundary=Boundary.OUTFLOW)
         snapshots = [(0.1 * k, MeshState(mesh, rho, np.zeros(mesh.n), 0.1 * k))
                      for k, rho in enumerate(profiles)]
         t = np.linspace(0.0, 0.1 * (len(profiles) - 1), len(min_rho))
         diagnostics = Diagnostics(t, np.ones_like(t), np.zeros_like(t), np.asarray(min_rho),
-                                  np.zeros_like(t))
+                                  np.zeros_like(t), np.asarray(max_rho))
         return Trajectory(snapshots, diagnostics, overflow=False, steps=len(min_rho) - 1)
 
     def test_floor_dip_between_snapshots_is_non_conservative(self):
         # every snapshot stays above the floor; only the per-step record dips
-        traj = self._hand_made([[1.0, 1.0, 0.5], [1.0, 1.0, 0.5]], min_rho=[0.5, 0.2, 0.5])
+        traj = self._hand_made([[1.0, 1.0, 0.5], [1.0, 1.0, 0.5]], min_rho=[0.5, 0.2, 0.5],
+                               max_rho=[1.0, 1.0, 1.0])
         verdict = classify_run(traj, ClassifyThresholds(rho_floor=0.3, rho_ceil=2.0))
         assert verdict.oscillation_score == 1.0
         assert verdict.classification is Classification.NON_CONSERVATIVE
 
     def test_snapshot_above_ceiling_is_non_conservative(self):
-        traj = self._hand_made([[1.0, 1.0, 0.5], [1.0, 2.5, 1.75]], min_rho=[0.5, 0.5])
+        traj = self._hand_made([[1.0, 1.0, 0.5], [1.0, 2.5, 1.75]], min_rho=[0.5, 0.5],
+                               max_rho=[1.0, 2.5])
         verdict = classify_run(traj, ClassifyThresholds(tv_ratio_max=10.0, rho_floor=0.3,
                                                         rho_ceil=2.0))
         assert verdict.oscillation_score == 4.5  # below tv_ratio_max: the ceiling decides
         assert verdict.classification is Classification.NON_CONSERVATIVE
 
+    def test_ceiling_overshoot_between_snapshots_is_non_conservative(self):
+        # every snapshot stays below the ceiling; only the per-step record exceeds it
+        traj = self._hand_made([[1.0, 1.0, 0.5], [1.0, 1.0, 0.5]], min_rho=[0.5, 0.5, 0.5],
+                               max_rho=[1.0, 2.1, 1.0])
+        verdict = classify_run(traj, ClassifyThresholds(rho_floor=0.3, rho_ceil=2.0))
+        assert verdict.oscillation_score == 1.0
+        assert verdict.classification is Classification.NON_CONSERVATIVE
+
     def test_flat_start_that_develops_variation_scores_inf(self):
         traj = self._hand_made([[1.0, 1.0, 1.0], [1.0, 1.0, 1.0], [1.0, 1.1, 1.0]],
-                               min_rho=[1.0, 1.0, 1.0])
+                               min_rho=[1.0, 1.0, 1.0], max_rho=[1.0, 1.0, 1.1])
         verdict = classify_run(traj, ClassifyThresholds())
         assert verdict.oscillation_score == math.inf
         assert verdict.classification is Classification.NON_CONSERVATIVE

@@ -407,7 +407,8 @@ def _reference_run(initial, cfg, t_end, record_every):
     def diag(state):
         h = state.mesh.h
         return (state.t, h * float(np.sum(state.rho)), h * float(np.sum(state.rho * state.u)),
-                float(np.min(state.rho)), float(np.max(np.abs(state.u))))
+                float(np.min(state.rho)), float(np.max(np.abs(state.u))),
+                float(np.max(state.rho)))
 
     state, steps, overflow = initial, 0, False
     rows, snapshots = [diag(state)], [state]
@@ -443,7 +444,7 @@ def test_run_matches_per_step_reference(kind, beta, boundary):
     assert (traj.steps, traj.overflow) == (steps, overflow)
     assert overflow is (beta > 1.0)
     d = traj.diagnostics
-    assert list(zip(d.t, d.mass, d.momentum, d.min_rho, d.max_abs_u)) == rows
+    assert list(zip(d.t, d.mass, d.momentum, d.min_rho, d.max_abs_u, d.max_rho)) == rows
     assert [t for t, _ in traj.snapshots] == [s.t for s in snapshots]
     for (_, got), want in zip(traj.snapshots, snapshots):
         assert np.array_equal(got.rho, want.rho) and np.array_equal(got.u, want.u)
@@ -468,7 +469,7 @@ def test_run_batch_rows_match_per_step_reference(kind, variant):
         steps, overflow, diag_rows, snapshots = _reference_run(initial, row_cfg, 0.15, 3)
         assert (traj.steps, traj.overflow) == (steps, overflow)
         d = traj.diagnostics
-        assert list(zip(d.t, d.mass, d.momentum, d.min_rho, d.max_abs_u)) == diag_rows
+        assert list(zip(d.t, d.mass, d.momentum, d.min_rho, d.max_abs_u, d.max_rho)) == diag_rows
         assert [t for t, _ in traj.snapshots] == [s.t for s in snapshots]
         for (_, got), want in zip(traj.snapshots, snapshots):
             assert np.array_equal(got.rho, want.rho) and np.array_equal(got.u, want.u)

@@ -560,6 +560,9 @@ def test_failing_norm_batch_raises_first_failure():
         verify_norm_batch(checks, n=64, steps=80)
     assert str(batch.value) == str(alone.value)
     assert batch.value.report == alone.value.report
+    # the message names the failing check, not only its (trial, step, ratio) points
+    assert str(batch.value).startswith(
+        "norm-monotonicity check failed at alpha=0.3 beta=0.4 kappa=2.0 qgd: ")
 
 
 def test_cli_norm_suite_equals_one_check_runs(monkeypatch):
@@ -567,9 +570,9 @@ def test_cli_norm_suite_equals_one_check_runs(monkeypatch):
     histories, suites = [], []
     report, batch = spectral._norm_report, cli.verify_norm_batch
 
-    def recording_report(check, n, steps, rows):
+    def recording_report(check, n, steps, rows, threshold):
         histories.append(rows)
-        return report(check, n, steps, rows)
+        return report(check, n, steps, rows, threshold)
 
     def recording_batch(checks, n, steps):
         suites.append((checks, batch(checks, n, steps)))
