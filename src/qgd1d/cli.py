@@ -285,8 +285,10 @@ def cmd_solve(cfg: dict, out_dir: str | None = None) -> int:
     out_dir = out_dir or cfg["output"]["directory"]
     formats = cfg["output"]["formats"]
     if "csv" in formats:
+        x_text = None                             # every snapshot shares the run's mesh
         for idx, (t, state) in enumerate(traj.snapshots):
-            output.write_snapshot_csv(os.path.join(out_dir, f"snapshot_{idx:04d}.csv"), state)
+            x_text = output.write_snapshot_csv(os.path.join(out_dir, f"snapshot_{idx:04d}.csv"),
+                                               state, x_text)
         output.write_diagnostics_csv(os.path.join(out_dir, "diagnostics.csv"), traj)
         output.atomic_write_text(
             os.path.join(out_dir, "verdict.csv"),

@@ -31,12 +31,14 @@ def _check_density(rho) -> np.ndarray:
 
 
 def _power(x: np.ndarray, e: float, out: np.ndarray) -> np.ndarray:
-    """out = x ** e through the ** operator itself: it routes exponents such
-    as 2.0 and 1.0 to np.square and a copy, which np.power(x, e, out=out)
-    need not match bit for bit."""
-    np.copyto(out, x)
-    out **= e
-    return out
+    """x ** e in one pass (none for e == 1, which returns x, not out) with the
+    bits of **: numpy's ** sends the exponent 1.0 to a copy, 2.0 to np.square
+    and every other one to np.power.  test_core pins the equality."""
+    if e == 1.0:
+        return x
+    if e == 2.0:
+        return np.square(x, out=out)
+    return np.power(x, e, out=out)
 
 
 @dataclass(frozen=True)
@@ -79,7 +81,7 @@ class GasModel:
             if dp is not None:
                 np.multiply(pw, g * p1, out=dp)
             coeff = g / (g - 1.0)
-            h *= coeff * p1
+            np.multiply(pw, coeff * p1, out=h)
             if self.r0 > 0.0:
                 h -= coeff * p1 * self.r0 ** (g - 1.0)
         elif dp is not None:

@@ -48,17 +48,26 @@ def _csv_text(header, rows) -> str:
     return buf.getvalue()
 
 
-def _float_csv_text(header, columns) -> str:
-    """_csv_text of equal-length float columns: _fmt writes a float as its
-    repr, and no such field needs quoting."""
-    line = ",".join(["%r"] * len(columns)) + "\n"
-    rows = zip(*(np.asarray(c, dtype=float).tolist() for c in columns))
-    return ",".join(header) + "\n" + "".join(map(line.__mod__, rows))
+def _column_text(values) -> list[str]:
+    """repr of each float of values, computed once per distinct bit pattern
+    (np.unique on the float values would merge -0.0 with 0.0)."""
+    distinct, index = np.unique(np.asarray(values, dtype=float).view(np.int64), return_inverse=True)
+    text = list(map(repr, distinct.view(float).tolist()))
+    return list(map(text.__getitem__, index.tolist()))
 
 
-def write_snapshot_csv(path: str, state: MeshState) -> None:
-    columns = (state.mesh.nodes, state.rho, state.u)
-    atomic_write_text(path, _float_csv_text(["x", "rho", "u"], columns))
+def _float_csv_text(header, columns, texts=()) -> str:
+    """_csv_text of the _column_text lists texts, then equal-length float
+    columns: _fmt writes a float as its repr, and no such field needs quoting."""
+    texts = [*texts, *map(_column_text, columns)]
+    return "\n".join([",".join(header), *map(",".join, zip(*texts))]) + "\n"
+
+
+def write_snapshot_csv(path: str, state: MeshState, x_text: list[str] | None = None) -> list[str]:
+    """Returns the node column's text, to pass back for states on the same mesh."""
+    x_text = x_text or _column_text(state.mesh.nodes)
+    atomic_write_text(path, _float_csv_text(["x", "rho", "u"], (state.rho, state.u), [x_text]))
+    return x_text
 
 
 def write_diagnostics_csv(path: str, traj: Trajectory) -> None:

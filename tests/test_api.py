@@ -66,15 +66,18 @@ def test_benchmark_hooks_exist():
     tracing = _benchmark_tracing()
     modules = {layer: importlib.import_module(f"qgd1d.{layer}") for layer in tracing.LAYERS}
     hooks = {tracing.CELL, *tracing.KEEP, "schemes.step_batch", "schemes.run_batch",
+             "output.write_snapshot_csv",
              *(f"cli.{name}" for name in ("main", "load_config", "build_model", "build_scheme",
                                           "build_mesh", "build_setup", "build_thresholds")),
              "experiments.riemann_initial"}
     for hook in sorted(hooks):
         layer, name = hook.split(".")
         assert callable(getattr(modules[layer], name, None)), hook
-    # the batch runner calls the step through the module global the benchmark patches
+    # the batch runner calls the step, and cmd_solve each snapshot's writer, through the
+    # module globals the benchmark patches: a private step helper would empty
+    # cell_steps_per_s, and a writer bypassed or not given the path first output.csv_s
     assert "step_batch" in modules["schemes"].run_batch.__code__.co_names
-    for name in ("run_simulation", "classify_run"):
+    for name in ("run_simulation", "classify_run", "write_snapshot_csv"):
         assert name in modules["cli"].cmd_solve.__code__.co_names
     # and reads snapshots as (t, MeshState) pairs
     mesh = Mesh(n=8, h=0.125)

@@ -259,6 +259,25 @@ class TestSolve:
                            [(verdict.classification.value, verdict.oscillation_score,
                              verdict.completed, traj.steps)])
 
+    @pytest.mark.parametrize("overrides, digest", [
+        ([], "12ccf45908ae13ae899d8aaddeedd4d2"),
+        (["scheme.kind=standard"], "e7646500bdcb98e049105449263210f8"),
+        (["gas.gamma=1.4"], "c106e44ce6986c5ddfab70355c6b7995"),
+        (["gas.r0=0.05"], "d4953d9a58267195b41d8e095e69aec3"),
+        (["scheme.kind=standard", "gas.gamma=1.4", "scheme.regularization=qhd"],
+         "6068a1cd84e5d4e7f53d36babef82032"),
+    ], ids=["demo", "standard", "gamma-1.4", "r0-0.05", "standard-gamma-1.4-qhd"])
+    def test_demo_solve_outputs_are_byte_identical_to_the_reference(self, tmp_path, overrides,
+                                                                    digest):
+        # every snapshot, diagnostics, verdict and SVG byte of the demo solve must not move
+        assert main(["solve", str(DEMO_CONFIG), *overrides, "--out", str(tmp_path)]) == 0
+        names = sorted(p.name for p in tmp_path.iterdir())
+        md5 = hashlib.md5()
+        for name in names:
+            md5.update(name.encode() + b"\0" + (tmp_path / name).read_bytes())
+        assert len(names) == 33
+        assert md5.hexdigest() == digest
+
     def test_overflow_run_exit_two(self, tmp_path, capsys):
         path = _fast_config(tmp_path, beta=6.0)
         assert main(["solve", str(path)]) == 2

@@ -12,6 +12,7 @@ from qgd1d import (
     NonPositiveDensity,
     SchemeConfig,
 )
+from qgd1d.gas import _power
 
 
 def _enthalpy(model, rho):
@@ -79,6 +80,60 @@ class TestEnthalpy:
             _, hp = _enthalpy(model, rho)
             _, dp = model.pressure(rho)
             assert hp == pytest.approx(dp / rho, rel=1e-14)
+
+
+def _copy_power(x, e):
+    """x ** e the way the gas law used to take it: a copy, then **= e."""
+    ref = np.empty_like(x)
+    np.copyto(ref, x)
+    ref **= e
+    return ref
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+# tiny, subnormal, huge (squares to inf) and the largest float beside ordinary values
+_EXTREMES = np.array([5e-324, 1e-300, 0.1, 1.0 / 3.0, 1.0, 2.5, 1e200, 1.7976931348623157e308])
+_POWER_INPUTS = [
+    _EXTREMES,
+    np.vstack([_EXTREMES, _EXTREMES[::-1], np.geomspace(1e-200, 1e200, _EXTREMES.size)]),
+]
+
+
+class TestPowerPath:
+    """The one-pass power routes give the bits of the copy-and-**= route;
+    a numpy whose ** routes exponents differently fails here by name."""
+
+    @pytest.mark.parametrize("e", [2.0, 1.0, 0.0, 0.5, -1.0, 0.4, 1.4, -0.6, 3.0])
+    @pytest.mark.parametrize("x", _POWER_INPUTS, ids=["1d", "rows"])
+    def test_power_matches_copy_then_inplace_power(self, x, e):
+        with np.errstate(all="ignore"):
+            got = _power(x, e, np.empty_like(x))
+            assert _same_bits(got, _copy_power(x, e))
+
+    @pytest.mark.parametrize("gamma", [2.0, 1.4, 3.0])
+    @pytest.mark.parametrize("r0", [0.0, 0.3])
+    @pytest.mark.parametrize("x", _POWER_INPUTS, ids=["1d", "rows"])
+    @pytest.mark.parametrize("outputs", [("p", "dp"), ("dp", "h", "hp"), ("dp", "h"), ("h",),
+                                         ("dp",), ("hp",), ("p", "dp", "h", "hp")])
+    def test_evaluate_matches_copy_power_formulas(self, gamma, r0, x, outputs):
+        model = GasModel(p1=0.7, gamma=gamma, r0=r0)
+        g, p1 = gamma, 0.7
+        coeff = g / (g - 1.0)
+        with np.errstate(all="ignore"):
+            want = {"p": np.multiply(_copy_power(x, g), p1),
+                    "dp": np.multiply(_copy_power(x, g - 1.0), g * p1),
+                    "h": _copy_power(x, g - 1.0),
+                    "hp": np.multiply(_copy_power(x, g - 2.0), g * p1)}
+            want["h"] *= coeff * p1
+            if r0 > 0.0:
+                want["h"] -= coeff * p1 * r0 ** (g - 1.0)
+            got = {name: np.full_like(x, np.nan) for name in outputs}
+            model._evaluate(x, **got)
+        for name in outputs:
+            assert _same_bits(got[name], want[name]), name
 
 
 class TestSchemeConfig:

@@ -68,6 +68,30 @@ def test_snapshot_csv_equals_per_value_reference(tmp_path):
     assert want.splitlines()[1] == "-0.5,1e-300,-0.0"
 
 
+def test_snapshots_sharing_a_mesh_equal_per_value_reference(tmp_path):
+    # the node text of the first call is passed back to the later ones, as cmd_solve does;
+    # each value column is formatted once per distinct bit pattern
+    n = 4000
+    mesh = Mesh(n=n, h=1.0 / 3.0 / n, x_min=-0.7, boundary=Boundary.OUTFLOW)
+    rng = np.random.default_rng(11)
+    runs = np.repeat([1.0, 0.1, 1.0 / 3.0, 0.1], n // 4)                 # long constant runs
+    tiny_huge = np.resize([5e-324, 2.5e-320, 1e-300, 1.7976931348623157e308, math.inf], n)
+    signed_zeros = np.resize([0.0, -0.0, -0.0, 0.0, 5e-324, -5e-324, 2.5e-320], n)
+    specials = np.resize([math.nan, -math.nan, math.inf, -math.inf, 1e-300, 0.0, -0.0], n)
+    distinct = rng.standard_normal(n) ** 3                               # no two values equal
+    states = [MeshState(mesh, runs, signed_zeros), MeshState(mesh, tiny_huge, specials),
+              MeshState(mesh, np.exp(distinct), distinct), MeshState(mesh, runs, specials)]
+    x_text = None
+    for idx, state in enumerate(states):
+        path = tmp_path / f"snapshot_{idx:04d}.csv"
+        x_text = write_snapshot_csv(str(path), state, x_text)
+        want = _reference_csv(["x", "rho", "u"], zip(mesh.nodes, state.rho, state.u))
+        assert path.read_text(encoding="utf-8") == want, idx
+    assert len(np.unique(distinct)) == n
+    assert "\n-0.7,1.0,0.0\n" in (tmp_path / "snapshot_0000.csv").read_text()
+    assert (tmp_path / "snapshot_0000.csv").read_text().splitlines()[2].endswith(",-0.0")
+
+
 def test_diagnostics_csv_equals_per_value_reference(tmp_path):
     mesh = Mesh(n=40, h=0.025, boundary=Boundary.OUTFLOW)
     x = mesh.nodes
