@@ -43,17 +43,22 @@ One step of the enthalpy scheme:
     rho+     = rho - dt * node_diff(j)
     (rho u)+ = rho u - dt * [ node_diff(j (s u) - pi) + node_avg((s rho) diff(h(rho))) ]
 
-One private kernel, `_half_mesh` and the update in `step_batch`, evaluates
-both schemes along the last axis of (rows, n) node arrays, so independent
-runs on one mesh advance in one call.  `step_batch` is the one public step,
-of one state (1-D arrays) or of a batch of rows; `run_batch` (whose one-row
-case is `run_simulation`) calls it once per step on one `_Workspace` of
-temporaries, and finds overflow from the per-step diagnostics it records
-anyway: min_rho > 0, max_rho < inf and a finite max_abs_u.
+One private kernel, `_half_mesh` and `_update`, evaluates both schemes
+along the last axis of (rows, n) node arrays.  It is three-point and has no
+reductions, so nodes whose (rho, u) and neighbours' are equal bit for bit step
+to equal bits.  On an outflow mesh `step_batch`, the one public step (of one
+state or a batch of rows), therefore steps only the nodes between the uniform
+runs at both ends of every row and one node of each run, and copies those two
+nodes' results over the runs.  It compares bits, since values would join -0.0
+and 0.0.  A periodic wrap joins the two runs, so there it steps every node.
+`run_batch` (whose one-row case is `run_simulation`) calls it once per step
+on one `_Workspace` and finds overflow from the per-step diagnostics it
+records anyway: min_rho > 0, max_rho < inf and a finite max_abs_u.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -83,22 +88,20 @@ def _diff(v: np.ndarray, h: float, out: np.ndarray) -> np.ndarray:
 
 
 class _Workspace:
-    """The kernel's temporaries for node arrays of shape (..., n): 5 padded
-    (n + 2), 12 half-mesh (n + 1) and 2 node arrays.  Arrays with fewer
-    leading rows get leading-row views; any other shape re-sizes it.  The
-    kernel writes every buffer before reading it, so nothing carries over."""
+    """Kernel temporaries for node arrays (..., w): 5 padded (w + 2), 12 half-mesh
+    (w + 1) and 2 node arrays, contiguous views into one block per group that
+    grows (at least doubling) as needed; the kernel writes each before reading."""
 
-    def __init__(self, shape: tuple[int, ...]):
-        *lead, n = self.shape = tuple(shape)
-        self._buffers = [np.empty((k, *lead, n + g)) for k, g in ((5, 2), (12, 1), (2, 0))]
+    def __init__(self):
+        self._buffers = [np.empty(0)] * 3
 
     def views(self, shape: tuple[int, ...]) -> list[np.ndarray]:
         """The padded, half-mesh and node buffers for node arrays of shape."""
-        if not (len(shape) == len(self.shape) and shape[-1] == self.shape[-1]
-                and all(k <= cap for k, cap in zip(shape[:-1], self.shape[:-1]))):
-            self.__init__(shape)
-        rows = (slice(None),) + tuple(slice(k) for k in shape[:-1])
-        return [b[rows] for b in self._buffers]
+        *lead, w = shape
+        shapes = [(k, *lead, w + g) for k, g in ((5, 2), (12, 1), (2, 0))]
+        self._buffers = [b if b.size >= math.prod(s) else np.empty(max(math.prod(s), 2 * b.size))
+                         for b, s in zip(self._buffers, shapes)]
+        return [b[:math.prod(s)].reshape(s) for b, s in zip(self._buffers, shapes)]
 
 
 def _half_mesh(rho: np.ndarray, u: np.ndarray, model: GasModel, cfg: SchemeConfig,
@@ -160,6 +163,43 @@ def _half_mesh(rho: np.ndarray, u: np.ndarray, model: GasModel, cfg: SchemeConfi
     return j, pi, srho_w, srho_what, srho, su, y if standard else dq
 
 
+def _update(rho: np.ndarray, u: np.ndarray, model: GasModel, cfg: SchemeConfig, mesh: Mesh,
+            alpha, dt, work: _Workspace, rho_new: np.ndarray, u_new: np.ndarray) -> None:
+    """The update of the module docstring, ghosts at rho's and u's own ends."""
+    padded, half, (a, b) = work.views(rho.shape)
+    with np.errstate(all="ignore"):
+        j, pi, _, _, srho, su, extra = _half_mesh(rho, u, model, cfg, mesh, alpha, padded, half)
+        h = mesh.h
+        np.subtract(rho, np.multiply(_diff(j, h, a), dt, out=a), out=rho_new)
+        j *= su                                  # the momentum flux; j is not read again
+        if cfg.scheme is SchemeKind.STANDARD:
+            j += extra
+        j -= pi
+        _diff(j, h, b)
+        if cfg.scheme is SchemeKind.ENTHALPY:
+            extra *= srho
+            b += _avg(extra, a)
+        b *= dt
+        np.multiply(rho, u, out=a)
+        a -= b
+        np.divide(a, rho_new, out=u_new)
+
+
+def _window(rho: np.ndarray, u: np.ndarray) -> tuple[int, int]:
+    """The outflow nodes [lo, hi) to step: from the node before the first edge
+    (node pair) across which some row changes to two past the last edge; all n
+    if some row changes across edge 0 or 1 and some across edge n - 3 or n - 2."""
+    n = rho.shape[-1]
+    r, v = rho.reshape(-1, n), u.reshape(-1, n)
+    if ((r[:, 1:3].tobytes() != r[:, :2].tobytes() or v[:, 1:3].tobytes() != v[:, :2].tobytes())
+            and (r[:, -2:].tobytes() != r[:, -3:-1].tobytes()
+                 or v[:, -2:].tobytes() != v[:, -3:-1].tobytes())):
+        return 0, n
+    r, v = r.view(np.int64), v.view(np.int64)
+    moves = ((r[:, 1:] != r[:, :-1]) | (v[:, 1:] != v[:, :-1])).any(axis=0)
+    return max(int(moves.argmax()) - 1, 0), min(n + 1 - int(moves[::-1].argmax()), n)
+
+
 def step_batch(rho: np.ndarray, u: np.ndarray, model: GasModel, cfg: SchemeConfig,
                mesh: Mesh, alpha, dt, *, work: _Workspace | None = None
                ) -> tuple[np.ndarray, np.ndarray]:
@@ -175,27 +215,18 @@ def step_batch(rho: np.ndarray, u: np.ndarray, model: GasModel, cfg: SchemeConfi
     NonPositiveDensity.  work lends the kernel its temporaries (run_batch
     keeps one per batch); it never changes a result.
     """
-    if rho.shape[-1] != mesh.n or np.shape(u) != rho.shape:
+    rho, u = np.asarray(rho, dtype=float), np.asarray(u, dtype=float)
+    if rho.shape[-1] != mesh.n or u.shape != rho.shape:
         raise LengthMismatch(f"expected rho and u of equal shape with last axis {mesh.n}, "
-                             f"got {rho.shape} and {np.shape(u)}")
-    _check_density(rho)
-    padded, half, (a, b) = (work or _Workspace(rho.shape)).views(rho.shape)
-    with np.errstate(all="ignore"):
-        j, pi, _, _, srho, su, extra = _half_mesh(rho, u, model, cfg, mesh, alpha, padded, half)
-        h = mesh.h
-        rho_new = rho - np.multiply(_diff(j, h, a), dt, out=a)
-        j *= su                                  # the momentum flux; j is not read again
-        if cfg.scheme is SchemeKind.STANDARD:
-            j += extra
-        j -= pi
-        _diff(j, h, b)
-        if cfg.scheme is SchemeKind.ENTHALPY:
-            extra *= srho
-            b += _avg(extra, a)
-        b *= dt
-        np.multiply(rho, u, out=a)
-        a -= b
-        return rho_new, a / rho_new
+                             f"got {rho.shape} and {u.shape}")
+    lo, hi = _window(rho, u) if mesh.boundary is Boundary.OUTFLOW else (0, mesh.n)
+    rho_new, u_new = np.empty_like(rho), np.empty_like(u)
+    _update(_check_density(rho[..., lo:hi]), u[..., lo:hi], model, cfg, mesh, alpha, dt,
+            work or _Workspace(), rho_new[..., lo:hi], u_new[..., lo:hi])
+    for v in (rho_new, u_new):
+        v[..., :lo] = v[..., lo:lo + 1]
+        v[..., hi:] = v[..., hi - 1:hi]
+    return rho_new, u_new
 
 
 @dataclass
@@ -222,13 +253,17 @@ class Trajectory:
 
 
 def _diagnostics(t: np.ndarray, rho: np.ndarray, u: np.ndarray, h: float,
-                 scratch: np.ndarray) -> np.ndarray:
-    """The Diagnostics columns per row; the products go into scratch (rho's shape)."""
+                 out: np.ndarray) -> np.ndarray:
+    """The Diagnostics columns per row, into out (rows, 6)."""
+    out[:, 0] = t
     with np.errstate(all="ignore"):
-        return np.stack((t, h * np.sum(rho, axis=-1),
-                         h * np.sum(np.multiply(rho, u, out=scratch), axis=-1),
-                         np.min(rho, axis=-1), np.max(np.abs(u, out=scratch), axis=-1),
-                         np.max(rho, axis=-1)), axis=-1)
+        np.sum(rho, axis=-1, out=out[:, 1])
+        np.sum(rho * u, axis=-1, out=out[:, 2])
+        out[:, 1:3] *= h
+        np.min(rho, axis=-1, out=out[:, 3])
+        np.max(np.abs(u), axis=-1, out=out[:, 4])
+        np.max(rho, axis=-1, out=out[:, 5])
+    return out
 
 
 def run_batch(initial: MeshState, model: GasModel, cfg: SchemeConfig, alphas, betas,
@@ -262,8 +297,8 @@ def run_batch(initial: MeshState, model: GasModel, cfg: SchemeConfig, alphas, be
     rho = np.tile(initial.rho, (live.size, 1))
     u = np.tile(initial.u, (live.size, 1))
     t = np.full(live.size, initial.t)
-    work, scratch = _Workspace(rho.shape), np.empty_like(rho)
-    diag = [[row] for row in _diagnostics(t, rho, u, mesh.h, scratch).tolist()]
+    work, record = _Workspace(), np.empty((live.size, 6))
+    diag = [[row] for row in _diagnostics(t, rho, u, mesh.h, record).tolist()]
     snapshots = [[(initial.t, initial)] for _ in live]
     steps = 0
     eps = 1e-12 * max(1.0, abs(t_end))
@@ -288,7 +323,7 @@ def run_batch(initial: MeshState, model: GasModel, cfg: SchemeConfig, alphas, be
         step_dt = np.minimum(dts[live], t_end - t)
         rho, u = step_batch(rho, u, model, cfg, mesh, alphas[live], step_dt[:, None], work=work)
         t = t + step_dt
-        d = _diagnostics(t, rho, u, mesh.h, scratch[:live.size])
+        d = _diagnostics(t, rho, u, mesh.h, record[:live.size])
         # every density positive and every value finite; NaN fails min_rho > 0
         ok = (d[:, 3] > 0.0) & (d[:, 5] < np.inf) & np.isfinite(d[:, 4])
         for k in np.flatnonzero(~ok):

@@ -61,7 +61,7 @@ def _benchmark_tracing():
     return module
 
 
-def test_benchmark_hooks_exist():
+def test_benchmark_hooks_exist(monkeypatch):
     # the benchmark wraps these by name; a rename would silently empty its metrics
     tracing = _benchmark_tracing()
     modules = {layer: importlib.import_module(f"qgd1d.{layer}") for layer in tracing.LAYERS}
@@ -85,3 +85,18 @@ def test_benchmark_hooks_exist():
                                 qgd1d.SchemeConfig(alpha=0.4, beta=0.4, alpha_s=0.0), 0.01)
     t, state = traj.snapshots[-1]
     assert isinstance(t, float) and isinstance(state, MeshState)
+    # cell_steps_per_s counts the nodes of each step's first argument: the batch
+    # runner passes whole rows even where the step computes only a window of them
+    widths, step_batch = [], modules["schemes"].step_batch
+
+    def step(rho, *args, **kwargs):
+        widths.append(rho.shape[-1])
+        return step_batch(rho, *args, **kwargs)
+
+    monkeypatch.setattr(modules["schemes"], "step_batch", step)
+    mesh = Mesh(n=40, h=0.05, boundary=qgd1d.Boundary.OUTFLOW)
+    left = np.arange(40) < 20                   # a Riemann state: uniform runs at both ends
+    initial = MeshState(mesh, np.where(left, 1.0, 0.1), np.where(left, 0.1, 0.0))
+    rows = dict(qgd1d.run_batch(initial, GasModel(), qgd1d.SchemeConfig(alpha=0.4, beta=0.4),
+                                [0.4, 0.8], [0.4, 0.4], t_end=0.1))
+    assert set(widths) == {mesh.n} and len(widths) == rows[0].steps > 1

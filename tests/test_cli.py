@@ -35,6 +35,8 @@ from qgd1d.schemes import run_simulation
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 DEMO_CONFIG = ROOT / "configs" / "riemann_demo.json"
+# the demo on ten times the nodes at a tenth of the spacing, to t = 0.05
+_WIDE = ("mesh.n=2500", "mesh.h=0.0008", "experiment.t_end=0.05")
 
 
 class TestConfig:
@@ -266,7 +268,16 @@ class TestSolve:
         (["gas.r0=0.05"], "d4953d9a58267195b41d8e095e69aec3"),
         (["scheme.kind=standard", "gas.gamma=1.4", "scheme.regularization=qhd"],
          "6068a1cd84e5d4e7f53d36babef82032"),
-    ], ids=["demo", "standard", "gamma-1.4", "r0-0.05", "standard-gamma-1.4-qhd"])
+        # 2 500 nodes, where the step window leaves out most of the mesh
+        ([*_WIDE], "2f967be593878f5c2ee87613b698a9b6"),
+        ([*_WIDE, "scheme.kind=standard"], "81e4cb2765d2bdb15a3dd34ebb7b4d9d"),
+        # the far u of the right run drifts by one ulp on the first step
+        ([*_WIDE, "experiment.rho_right=0.7", "experiment.u_right=0.1"],
+         "98bb8b985e5910bf7edbe4f1a106d191"),
+        ([*_WIDE, "scheme.kind=standard", "experiment.u_left=-0.0", "experiment.u_right=-0.0"],
+         "b9b7e50f5a006911821ed68a739a8c32"),
+    ], ids=["demo", "standard", "gamma-1.4", "r0-0.05", "standard-gamma-1.4-qhd", "wide",
+            "wide-standard", "wide-drifting-run", "wide-standard-negative-zero-u"])
     def test_demo_solve_outputs_are_byte_identical_to_the_reference(self, tmp_path, overrides,
                                                                     digest):
         # every snapshot, diagnostics, verdict and SVG byte of the demo solve must not move

@@ -6,6 +6,9 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from qgd1d import (
     Boundary,
@@ -23,7 +26,7 @@ from qgd1d import (
     step_batch,
 )
 from qgd1d import schemes
-from qgd1d.schemes import _half_mesh, _Workspace, run_batch
+from qgd1d.schemes import _half_mesh, _update, _Workspace, run_batch
 from qgd1d.spectral import _recurrence
 
 MODEL = GasModel(p1=1.0, gamma=2.0)
@@ -47,7 +50,7 @@ def _step(state, model, cfg, dt=None):
 
 def _fluxes(state, cfg):
     """The kernel's half-mesh j, pi, w and w_hat for one state."""
-    padded, half, _ = _Workspace(state.rho.shape).views(state.rho.shape)
+    padded, half, _ = _Workspace().views(state.rho.shape)
     j, pi, srho_w, srho_what, srho, _, _ = _half_mesh(state.rho, state.u, MODEL, cfg,
                                                       state.mesh, cfg.alpha, padded, half)
     return SimpleNamespace(j=j, pi=pi, w=srho_w / srho, w_hat=srho_what / srho)
@@ -348,7 +351,7 @@ def test_step_batch_workspace_changes_nothing(kind, variant):
     alphas, dts = np.array([[0.2], [0.35], [0.5], [0.8], [1.1]]), 0.01
     rho, u = np.stack([s.rho for s in first]), np.stack([s.u for s in first])
     rho2, u2 = np.stack([s.rho for s in other]), np.stack([s.u for s in other])
-    work = _Workspace(rho.shape)
+    work = _Workspace()
     plain = step_batch(rho, u, MODEL, cfg, mesh, alphas, dts)
     plain2 = step_batch(rho2, u2, MODEL, cfg, mesh, alphas[:3], dts)
     for _ in range(2):
@@ -376,6 +379,78 @@ def test_step_batch_rejects_non_positive_input_density(bad):
     rho[1, 7] = bad
     with pytest.raises(NonPositiveDensity):
         step_batch(rho, np.stack([state.u, state.u]), MODEL, cfg, state.mesh, 0.4, 0.01)
+
+
+@pytest.mark.parametrize("bad", [0.0, -0.2, math.nan])
+@pytest.mark.parametrize("run", [slice(0, 6), slice(10, 16)], ids=["left", "right"])
+def test_step_batch_rejects_a_non_positive_end_run(bad, run):
+    # an outflow step computes one node of each uniform end run, and checks it
+    mesh = Mesh(n=16, h=0.1, boundary=Boundary.OUTFLOW)
+    cfg = SchemeConfig(alpha=0.4, beta=0.3, alpha_s=1.0, c_ref=1.5)
+    rho, u = np.ones((2, 16)), np.zeros((2, 16))
+    rho[:, 7:9] = 1.2
+    rho[1, run] = bad
+    with pytest.raises(NonPositiveDensity):
+        step_batch(rho, u, MODEL, cfg, mesh, 0.4, 0.01)
+
+
+_RHO_VALUES, _U_VALUES = [0.5, 0.7, 1.0, 1.3], [0.0, -0.0, 0.1, -0.2]
+
+
+@st.composite
+def _end_run_steps(draw):
+    """Arguments of one step_batch call whose rows each have a left and a right
+    end run of independent lengths 0..n (the right one may cover the left),
+    some of them NaN in u, over few values; up to 3 nodes just inside a run
+    take its rho and negated u, so that -0.0 meets 0.0."""
+    n = draw(st.sampled_from([3, 4, 5, 40]))
+    rows = draw(st.sampled_from([0, 1, 3]))              # 0: one state as 1-D arrays
+    rho = draw(arrays(float, (max(rows, 1), n), elements=st.sampled_from(_RHO_VALUES)))
+    u = draw(arrays(float, (max(rows, 1), n), elements=st.sampled_from(_U_VALUES)))
+    for k in range(rho.shape[0]):
+        left, right = draw(st.integers(0, n)), draw(st.integers(0, n))
+        flip = draw(st.integers(0, 3))
+        for run, inner in ((slice(0, left), slice(left, left + flip)),
+                           (slice(n - right, n), slice(max(n - right - flip, 0), n - right))):
+            rho_run, u_run = draw(st.sampled_from(_RHO_VALUES)), draw(st.sampled_from(_U_VALUES))
+            rho[k, run], u[k, run] = rho_run, (u_run if draw(st.booleans()) else math.nan)
+            if run.start < run.stop:
+                rho[k, inner], u[k, inner] = rho_run, -u[k, run.start]   # -0.0 beside 0.0
+    alpha, dt = draw(st.floats(0.2, 1.5)), draw(st.floats(1e-3, 0.05))
+    if rows and draw(st.booleans()):
+        alpha = np.array(draw(st.lists(st.floats(0.2, 1.5), min_size=rows, max_size=rows)))[:, None]
+        dt = np.array(draw(st.lists(st.floats(1e-3, 0.05), min_size=rows, max_size=rows)))[:, None]
+    mesh = Mesh(n=n, h=0.05, boundary=draw(st.sampled_from(Boundary)))
+    return (rho, u) if rows else (rho[0], u[0]), mesh, alpha, dt
+
+
+def _signed_zero_runs(order=1):
+    """A run of 0.0 velocities, then -0.0, before a density bump (order -1:
+    after it): a value compare would take both for one run."""
+    rho, u = np.ones(40), np.zeros(40)
+    rho[20:24] = 1.3
+    u[8:20] = -0.0
+    return rho[::order].copy(), u[::order].copy()
+
+
+@settings(max_examples=200, deadline=None)
+@given(_end_run_steps(), st.sampled_from(SchemeKind), st.sampled_from(Variant))
+@example((_signed_zero_runs(), Mesh(n=40, h=0.05, boundary=Boundary.OUTFLOW), 0.4, 0.01),
+         SchemeKind.STANDARD, Variant.FULL_QGD)
+@example((_signed_zero_runs(-1), Mesh(n=40, h=0.05, boundary=Boundary.OUTFLOW), 0.4, 0.01),
+         SchemeKind.ENTHALPY, Variant.SIMPLIFIED_QHD)
+def test_step_batch_equals_the_update_of_every_node(case, kind, variant):
+    # step_batch steps only the nodes between the end runs of an outflow mesh;
+    # every bit, zero signs and NaN included, is that of stepping all nodes
+    (rho, u), mesh, alpha, dt = case
+    cfg = SchemeConfig(alpha=1.0, beta=0.3, alpha_s=0.9, regularization=variant, scheme=kind,
+                       c_ref=1.5)
+    want = np.empty_like(rho), np.empty_like(u)
+    _update(rho, u, MODEL, cfg, mesh, alpha, dt, _Workspace(), *want)
+    got = step_batch(rho, u, MODEL, cfg, mesh, alpha, dt)
+    for w, g in zip(want, got):
+        assert g.shape == w.shape
+        assert np.array_equal(w.view(np.int64), g.view(np.int64))
 
 
 def test_enthalpy_anchor_r0_only_shifts_h():
