@@ -48,11 +48,11 @@ def _csv_text(header, rows) -> str:
     return buf.getvalue()
 
 
-def _column_text(values) -> list[str]:
-    """repr of each float of values, computed once per distinct bit pattern
-    (np.unique on the float values would merge -0.0 with 0.0)."""
+def _column_text(values, fmt=repr) -> list[str]:
+    """fmt (repr by default) of each float of values, computed once per distinct
+    bit pattern (np.unique on the float values would merge -0.0 with 0.0)."""
     distinct, index = np.unique(np.asarray(values, dtype=float).view(np.int64), return_inverse=True)
-    text = list(map(repr, distinct.view(float).tolist()))
+    text = list(map(fmt, distinct.view(float).tolist()))
     return list(map(text.__getitem__, index.tolist()))
 
 
@@ -168,11 +168,17 @@ class _Frame:
         )
         return parts
 
-    def polyline(self, xs, ys, dash: str = "", color: str = "black") -> str:
+    def x_text(self, xs) -> list[str]:
+        """The pixel-x text of each point of xs, with the comma that follows it."""
         # px and py map whole float arrays by the same operations as one point
-        pxs = self.px(np.asarray(xs, dtype=float)).tolist()
-        pys = self.py(np.asarray(ys, dtype=float)).tolist()
-        pts = " ".join(map("{:.2f},{:.2f}".format, pxs, pys))
+        return _column_text(self.px(np.asarray(xs, dtype=float)), "{:.2f},".format)
+
+    def polyline(self, xs, ys, dash: str = "", color: str = "black", x_text=None) -> str:
+        """x_text, if given, is x_text(xs) of a frame with the same x mapping."""
+        texts = [""] * (2 * len(ys))                # "x,y x,y ...": x and y texts in turn
+        texts[::2] = x_text or self.x_text(xs)
+        texts[1::2] = _column_text(self.py(np.asarray(ys, dtype=float)), "{:.2f} ".format)
+        pts = "".join(texts)[:-1]
         dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
         return f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"{dash_attr}/>'
 
@@ -227,7 +233,7 @@ def profile_svg(state: MeshState, title: str = "") -> str:
     """Density and velocity vs x, stacked panels."""
     x = state.mesh.nodes
     panels = [("rho", state.rho), ("u", state.u)]
-    body = []
+    body, x_text = [], None
     if title:
         body.append(f'<text x="320" y="20" font-size="14" text-anchor="middle">{title}</text>')
     for idx, (label, values) in enumerate(panels):
@@ -235,5 +241,6 @@ def profile_svg(state: MeshState, title: str = "") -> str:
         pad = 0.05 * (hi - lo or 1.0)
         frame = _Frame(70, 40 + idx * 290, 520, 240, (float(x[0]), float(x[-1])), (lo - pad, hi + pad))
         body.extend(frame.axes("x", label))
-        body.append(frame.polyline(x, values))
+        x_text = x_text or frame.x_text(x)       # the panels' x mappings are equal
+        body.append(frame.polyline(x, values, x_text=x_text))
     return _svg_document(660, 640, body)

@@ -47,13 +47,14 @@ One private kernel, `_half_mesh` and `_update`, evaluates both schemes
 along the last axis of (rows, n) node arrays.  It is three-point and has no
 reductions, so nodes whose (rho, u) and neighbours' are equal bit for bit step
 to equal bits.  On an outflow mesh `step_batch`, the one public step (of one
-state or a batch of rows), therefore steps only the nodes between the uniform
-runs at both ends of every row and one node of each run, and copies those two
-nodes' results over the runs.  It compares bits, since values would join -0.0
-and 0.0.  A periodic wrap joins the two runs, so there it steps every node.
-`run_batch` (whose one-row case is `run_simulation`) calls it once per step
-on one `_Workspace` and finds overflow from the per-step diagnostics it
-records anyway: min_rho > 0, max_rho < inf and a finite max_abs_u.
+state or a batch of rows), therefore steps only a window: the nodes between
+the uniform runs at both ends of every row and one node of each run, whose
+results it copies over the runs.  It compares bits, since values would join
+-0.0 and 0.0.  A periodic wrap joins the two runs, so there it steps every
+node.  `run_batch` (whose one-row case is `run_simulation`) steps in place on
+one `_Workspace`, carrying the window from step to step; only the mass and
+momentum sums of its per-step diagnostics read whole rows, and overflow is
+found from these: min_rho > 0, max_rho < inf, finite max_abs_u.
 """
 
 from __future__ import annotations
@@ -89,7 +90,7 @@ def _diff(v: np.ndarray, h: float, out: np.ndarray) -> np.ndarray:
 
 class _Workspace:
     """Kernel temporaries for node arrays (..., w): 5 padded (w + 2), 12 half-mesh
-    (w + 1) and 2 node arrays, contiguous views into one block per group that
+    (w + 1) and 4 node arrays, contiguous views into one block per group that
     grows (at least doubling) as needed; the kernel writes each before reading."""
 
     def __init__(self):
@@ -98,7 +99,7 @@ class _Workspace:
     def views(self, shape: tuple[int, ...]) -> list[np.ndarray]:
         """The padded, half-mesh and node buffers for node arrays of shape."""
         *lead, w = shape
-        shapes = [(k, *lead, w + g) for k, g in ((5, 2), (12, 1), (2, 0))]
+        shapes = [(k, *lead, w + g) for k, g in ((5, 2), (12, 1), (4, 0))]
         self._buffers = [b if b.size >= math.prod(s) else np.empty(max(math.prod(s), 2 * b.size))
                          for b, s in zip(self._buffers, shapes)]
         return [b[:math.prod(s)].reshape(s) for b, s in zip(self._buffers, shapes)]
@@ -166,7 +167,7 @@ def _half_mesh(rho: np.ndarray, u: np.ndarray, model: GasModel, cfg: SchemeConfi
 def _update(rho: np.ndarray, u: np.ndarray, model: GasModel, cfg: SchemeConfig, mesh: Mesh,
             alpha, dt, work: _Workspace, rho_new: np.ndarray, u_new: np.ndarray) -> None:
     """The update of the module docstring, ghosts at rho's and u's own ends."""
-    padded, half, (a, b) = work.views(rho.shape)
+    padded, half, (a, b, *_) = work.views(rho.shape)
     with np.errstate(all="ignore"):
         j, pi, _, _, srho, su, extra = _half_mesh(rho, u, model, cfg, mesh, alpha, padded, half)
         h = mesh.h
@@ -185,48 +186,71 @@ def _update(rho: np.ndarray, u: np.ndarray, model: GasModel, cfg: SchemeConfig, 
         np.divide(a, rho_new, out=u_new)
 
 
-def _window(rho: np.ndarray, u: np.ndarray) -> tuple[int, int]:
+def _window(rho: np.ndarray, u: np.ndarray, a: int = 0, b: int | None = None) -> tuple[int, int]:
     """The outflow nodes [lo, hi) to step: from the node before the first edge
     (node pair) across which some row changes to two past the last edge; all n
-    if some row changes across edge 0 or 1 and some across edge n - 3 or n - 2."""
+    if none does, or if some row changes across edge 0 or 1 and some across edge
+    n - 3 or n - 2.  Reads only nodes [a, b), whose end edges may change only at
+    the mesh's ends."""
     n = rho.shape[-1]
-    r, v = rho.reshape(-1, n), u.reshape(-1, n)
+    r, v = rho.reshape(-1, n)[:, a:b], u.reshape(-1, n)[:, a:b]
+    m = r.shape[1]
     if ((r[:, 1:3].tobytes() != r[:, :2].tobytes() or v[:, 1:3].tobytes() != v[:, :2].tobytes())
             and (r[:, -2:].tobytes() != r[:, -3:-1].tobytes()
                  or v[:, -2:].tobytes() != v[:, -3:-1].tobytes())):
-        return 0, n
+        return a, a + m
     r, v = r.view(np.int64), v.view(np.int64)
     moves = ((r[:, 1:] != r[:, :-1]) | (v[:, 1:] != v[:, :-1])).any(axis=0)
-    return max(int(moves.argmax()) - 1, 0), min(n + 1 - int(moves[::-1].argmax()), n)
+    if not moves.any():
+        return 0, n
+    return a + max(int(moves.argmax()) - 1, 0), a + min(m + 1 - int(moves[::-1].argmax()), m)
 
 
 def step_batch(rho: np.ndarray, u: np.ndarray, model: GasModel, cfg: SchemeConfig,
-               mesh: Mesh, alpha, dt, *, work: _Workspace | None = None
-               ) -> tuple[np.ndarray, np.ndarray]:
+               mesh: Mesh, alpha, dt, *, work: _Workspace | None = None, out=None,
+               window: tuple[int, int] | None = None) -> tuple[np.ndarray, np.ndarray]:
     """One step of cfg.scheme, by the updates of the module docstring, for the
     node arrays rho and u: one state (shape (n,)) or independent runs on one
     mesh (the rows of shape (rows, n)).
 
     alpha and dt take the place of cfg.alpha and cfg's time step; each is a
     scalar or a (rows, 1) column with one value per row.  Returns the new
-    (rho, u) as fresh arrays without checking them: a row whose density
-    turned non-positive or a value non-finite has overflowed, and numpy
-    raises no warning for it.  A non-positive input density raises
-    NonPositiveDensity.  work lends the kernel its temporaries (run_batch
-    keeps one per batch); it never changes a result.
+    (rho, u) without checking them: a row whose density turned non-positive or
+    a value non-finite has overflowed, and numpy raises no warning for it.  A
+    non-positive input density raises NonPositiveDensity.  The result goes into
+    fresh arrays or into out = (rho_out, u_out), each its input itself (a step
+    in place) or overlapping nothing.  window = (lo, hi) skips the search for
+    the nodes to step: the caller guarantees that in every row nodes 0..lo+1 are
+    equal bit for bit, and so are nodes hi-2..n-1 (only 0 <= lo < hi <= n is
+    checked, and a periodic mesh takes only (0, n)).  work lends the kernel its
+    temporaries (run_batch keeps one per batch); it never changes a result.
     """
     rho, u = np.asarray(rho, dtype=float), np.asarray(u, dtype=float)
-    if rho.shape[-1] != mesh.n or u.shape != rho.shape:
-        raise LengthMismatch(f"expected rho and u of equal shape with last axis {mesh.n}, "
+    n = mesh.n
+    if rho.shape[-1] != n or u.shape != rho.shape:
+        raise LengthMismatch(f"expected rho and u of equal shape with last axis {n}, "
                              f"got {rho.shape} and {u.shape}")
-    lo, hi = _window(rho, u) if mesh.boundary is Boundary.OUTFLOW else (0, mesh.n)
-    rho_new, u_new = np.empty_like(rho), np.empty_like(u)
-    _update(_check_density(rho[..., lo:hi]), u[..., lo:hi], model, cfg, mesh, alpha, dt,
-            work or _Workspace(), rho_new[..., lo:hi], u_new[..., lo:hi])
-    for v in (rho_new, u_new):
-        v[..., :lo] = v[..., lo:lo + 1]
-        v[..., hi:] = v[..., hi - 1:hi]
-    return rho_new, u_new
+    out = (np.empty_like(rho), np.empty_like(u)) if out is None else out
+    if np.may_share_memory(*out) or any(
+            o.shape != rho.shape or o.dtype != float
+            or o is not v and (np.may_share_memory(o, rho) or np.may_share_memory(o, u))
+            for o, v in zip(out, (rho, u))):
+        raise ValueError("out must be float arrays of rho's shape, each its input or disjoint")
+    periodic = mesh.boundary is Boundary.PERIODIC
+    lo, hi = window or ((0, n) if periodic else _window(rho, u))
+    if not 0 <= lo < hi <= n or periodic and (lo, hi) != (0, n):
+        raise ValueError(f"window {window}: need 0 <= lo < hi <= {n}, and (0, {n}) if periodic")
+    work = work or _Workspace()
+    new = work.views(rho[..., lo:hi].shape)[2][2:]   # never returned
+    _update(_check_density(rho[..., lo:hi]), u[..., lo:hi], model, cfg, mesh, alpha, dt, work, *new)
+    for v, o, w in zip((rho, u), out, new):
+        o[..., lo:hi] = w
+        # in place, an end run is rewritten only where its bits change
+        if lo and (o is not v or o[..., lo - 1].tobytes() != w[..., 0].tobytes()):
+            o[..., :lo] = w[..., :1]
+        if hi < n and (o is not v or o[..., hi].tobytes() != w[..., -1].tobytes()):
+            o[..., hi:] = w[..., -1:]
+    return out[0], out[1]
 
 
 @dataclass
@@ -252,17 +276,18 @@ class Trajectory:
     note: str = ""
 
 
-def _diagnostics(t: np.ndarray, rho: np.ndarray, u: np.ndarray, h: float,
-                 out: np.ndarray) -> np.ndarray:
-    """The Diagnostics columns per row, into out (rows, 6)."""
+def _diagnostics(t: np.ndarray, rho: np.ndarray, u: np.ndarray, h: float, nodes: slice,
+                 out: np.ndarray, rho_u: np.ndarray) -> np.ndarray:
+    """The Diagnostics columns per row, into out (rows, 6), with rho*u in rho_u;
+    the extrema are over the nodes, which must hold every value of the rows."""
     out[:, 0] = t
     with np.errstate(all="ignore"):
         np.sum(rho, axis=-1, out=out[:, 1])
-        np.sum(rho * u, axis=-1, out=out[:, 2])
+        np.sum(np.multiply(rho, u, out=rho_u), axis=-1, out=out[:, 2])
         out[:, 1:3] *= h
-        np.min(rho, axis=-1, out=out[:, 3])
-        np.max(np.abs(u), axis=-1, out=out[:, 4])
-        np.max(rho, axis=-1, out=out[:, 5])
+        np.min(rho[:, nodes], axis=-1, out=out[:, 3])
+        np.max(np.abs(u[:, nodes]), axis=-1, out=out[:, 4])
+        np.max(rho[:, nodes], axis=-1, out=out[:, 5])
     return out
 
 
@@ -297,10 +322,10 @@ def run_batch(initial: MeshState, model: GasModel, cfg: SchemeConfig, alphas, be
     rho = np.tile(initial.rho, (live.size, 1))
     u = np.tile(initial.u, (live.size, 1))
     t = np.full(live.size, initial.t)
-    work, record = _Workspace(), np.empty((live.size, 6))
-    diag = [[row] for row in _diagnostics(t, rho, u, mesh.h, record).tolist()]
+    work, record, rho_u = _Workspace(), np.empty((live.size, 6)), np.empty_like(rho)
+    diag = [[row] for row in _diagnostics(t, rho, u, mesh.h, slice(None), record, rho_u).tolist()]
     snapshots = [[(initial.t, initial)] for _ in live]
-    steps = 0
+    steps, window = 0, (0, mesh.n)
     eps = 1e-12 * max(1.0, abs(t_end))
 
     def finish(k: int, overflow: bool, note: str = "") -> tuple[int, Trajectory]:
@@ -321,9 +346,12 @@ def run_batch(initial: MeshState, model: GasModel, cfg: SchemeConfig, alphas, be
         if not live.size:
             return
         step_dt = np.minimum(dts[live], t_end - t)
-        rho, u = step_batch(rho, u, model, cfg, mesh, alphas[live], step_dt[:, None], work=work)
+        if mesh.boundary is Boundary.OUTFLOW:     # a step changes no edge outside its window
+            window = _window(rho, u, max(window[0] - 1, 0), window[1] + 1)
+        step_batch(rho, u, model, cfg, mesh, alphas[live], step_dt[:, None], work=work,
+                   out=(rho, u), window=window)
         t = t + step_dt
-        d = _diagnostics(t, rho, u, mesh.h, record[:live.size])
+        d = _diagnostics(t, rho, u, mesh.h, slice(*window), record[:live.size], rho_u[:live.size])
         # every density positive and every value finite; NaN fails min_rho > 0
         ok = (d[:, 3] > 0.0) & (d[:, 5] < np.inf) & np.isfinite(d[:, 4])
         for k in np.flatnonzero(~ok):

@@ -77,6 +77,10 @@ def test_benchmark_hooks_exist(monkeypatch):
     # module globals the benchmark patches: a private step helper would empty
     # cell_steps_per_s, and a writer bypassed or not given the path first output.csv_s
     assert "step_batch" in modules["schemes"].run_batch.__code__.co_names
+    # and counts every public schemes.step* span as one step: a second such name
+    # would count steps twice in cell_steps_per_s
+    assert [name for name, value in vars(modules["schemes"]).items()
+            if tracing.is_step(f"schemes.{name}") and callable(value)] == ["step_batch"]
     for name in ("run_simulation", "classify_run", "write_snapshot_csv"):
         assert name in modules["cli"].cmd_solve.__code__.co_names
     # and reads snapshots as (t, MeshState) pairs

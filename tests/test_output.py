@@ -45,8 +45,8 @@ def _reference_csv(header, rows):
     return buf.getvalue()
 
 
-def _reference_polyline(frame, xs, ys, dash="", color="black"):
-    """_Frame.polyline one point at a time through px and py."""
+def _reference_polyline(frame, xs, ys, dash="", color="black", x_text=None):
+    """_Frame.polyline one point at a time through px and py (x_text unread)."""
     pts = " ".join(f"{frame.px(x):.2f},{frame.py(y):.2f}" for x, y in zip(xs, ys))
     dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
     return f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"{dash_attr}/>'

@@ -1,7 +1,7 @@
 """Nonlinear steppers: flux formulas, conservation, fixed points, linearization."""
 
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -26,7 +26,7 @@ from qgd1d import (
     step_batch,
 )
 from qgd1d import schemes
-from qgd1d.schemes import _half_mesh, _update, _Workspace, run_batch
+from qgd1d.schemes import _half_mesh, _update, _window, _Workspace, run_batch
 from qgd1d.spectral import _recurrence
 
 MODEL = GasModel(p1=1.0, gamma=2.0)
@@ -453,6 +453,54 @@ def test_step_batch_equals_the_update_of_every_node(case, kind, variant):
         assert np.array_equal(w.view(np.int64), g.view(np.int64))
 
 
+@settings(max_examples=100, deadline=None)
+@given(_end_run_steps(), st.sampled_from(SchemeKind), st.sampled_from(Variant))
+@example((_signed_zero_runs(), Mesh(n=40, h=0.05, boundary=Boundary.OUTFLOW), 0.4, 0.01),
+         SchemeKind.STANDARD, Variant.FULL_QGD)
+def test_step_batch_out_and_window_give_the_fresh_bits(case, kind, variant):
+    # a step in place, into an out filled with NaN, or given the window it would
+    # find itself, writes every node with the bits of a plain step
+    (rho, u), mesh, alpha, dt = case
+    cfg = SchemeConfig(alpha=1.0, beta=0.3, alpha_s=0.9, regularization=variant, scheme=kind,
+                       c_ref=1.5)
+    want = step_batch(rho, u, MODEL, cfg, mesh, alpha, dt)
+    window = (0, mesh.n) if mesh.boundary is Boundary.PERIODIC else _window(rho, u)
+    in_place = rho.copy(), u.copy()
+    outs = [step_batch(*in_place, MODEL, cfg, mesh, alpha, dt, out=in_place),
+            step_batch(rho, u, MODEL, cfg, mesh, alpha, dt, out=(np.full_like(rho, math.nan),
+                                                                 np.full_like(u, math.nan))),
+            step_batch(rho, u, MODEL, cfg, mesh, alpha, dt, window=window)]
+    assert all(o is i for o, i in zip(outs[0], in_place))
+    for got in outs:
+        for w, g in zip(want, got):
+            assert np.array_equal(w.view(np.int64), g.view(np.int64))
+
+
+@pytest.mark.parametrize("boundary, key, value", [
+    (Boundary.OUTFLOW, "out", "swapped"), (Boundary.OUTFLOW, "out", "shared"),
+    (Boundary.OUTFLOW, "out", "doubled"),
+    (Boundary.OUTFLOW, "out", "overlapping"), (Boundary.OUTFLOW, "out", "short"),
+    (Boundary.OUTFLOW, "window", (5, 5)), (Boundary.OUTFLOW, "window", (-1, 10)),
+    (Boundary.OUTFLOW, "window", (0, 17)), (Boundary.PERIODIC, "window", (6, 10)),
+], ids=["out-swapped", "out-shared", "out-doubled", "out-overlapping", "out-short", "window-empty",
+        "window-negative", "window-past-n", "window-on-periodic"])
+def test_step_batch_rejects_a_bad_out_or_window(boundary, key, value):
+    # only (rho, u) themselves may be written over, and a window is checked
+    # against 0 <= lo < hi <= n (all of the mesh when periodic)
+    mesh = Mesh(n=16, h=0.1, boundary=boundary)
+    cfg = SchemeConfig(alpha=0.4, beta=0.3, alpha_s=1.0, c_ref=1.5)
+    block, u = np.ones((2, 17)), np.zeros((2, 16))
+    block[:, 7:9] = 1.2
+    rho = block[:, :-1]
+    outs = {"swapped": (u, rho), "shared": (rho, rho), "short": (rho[:, :-1], u[:, :-1]),
+            "doubled": (np.empty_like(u),) * 2,
+            "overlapping": (block[:, 1:], np.empty_like(u))}   # all but one node of rho
+    before = rho.copy(), u.copy()
+    with pytest.raises(ValueError):
+        step_batch(rho, u, MODEL, cfg, mesh, 0.4, 0.01, **{key: outs.get(value, value)})
+    assert np.array_equal(rho, before[0]) and np.array_equal(u, before[1])
+
+
 def test_enthalpy_anchor_r0_only_shifts_h():
     anchored, plain = GasModel(p1=1.3, gamma=1.6, r0=0.7), GasModel(p1=1.3, gamma=1.6)
     assert _enthalpy(anchored, 0.7)[0] == pytest.approx(0.0, abs=1e-15)
@@ -548,6 +596,95 @@ def test_run_batch_rows_match_per_step_reference(kind, variant):
         assert [t for t, _ in traj.snapshots] == [s.t for s in snapshots]
         for (_, got), want in zip(traj.snapshots, snapshots):
             assert np.array_equal(got.rho, want.rho) and np.array_equal(got.u, want.u)
+
+
+def _plain_run(initial, cfg, alpha, beta, t_end, record_every):
+    """run_batch's row (alpha, beta) as a plain loop of whole-row step_batch
+    calls and whole-row reductions: (diagnostic rows, snapshots, steps, note)."""
+    mesh, h = initial.mesh, initial.mesh.h
+    cfg = replace(cfg, alpha=alpha, beta=beta).resolve_c_ref(MODEL, initial.rho)
+    dt, eps = cfg.time_step(h), 1e-12 * max(1.0, abs(t_end))
+    rho, u, t, steps, note = initial.rho, initial.u, initial.t, 0, ""
+
+    def diag():
+        return [t, h * np.sum(rho), h * np.sum(rho * u), np.min(rho), np.max(np.abs(u)),
+                np.max(rho)]
+
+    rows, snapshots = [diag()], [(t, rho, u)]
+    while t < t_end - eps:
+        step_dt = min(dt, t_end - t)
+        rho, u = step_batch(rho, u, MODEL, cfg, mesh, alpha, step_dt)
+        t += step_dt
+        row = diag()
+        if not (row[3] > 0.0 and row[5] < math.inf and math.isfinite(row[4])):
+            note = (f"density became non-positive at t={t}" if row[3] <= 0.0
+                    else f"non-finite value at t={t}")
+            break
+        steps += 1
+        rows.append(row)
+        if steps % record_every == 0:
+            snapshots.append((t, rho, u))
+    if not note and snapshots[-1][0] < t:
+        snapshots.append((t, rho, u))
+    return np.array(rows, dtype=float), snapshots, steps, note
+
+
+@st.composite
+def _riemann_batches(draw):
+    """An outflow Riemann state (its jump anywhere, even at an end, and up to two
+    nodes with the negated velocity of their side, so that -0.0 meets 0.0 and
+    -NaN meets NaN) and per-row alphas and betas, from stable to overflowing."""
+    n = draw(st.sampled_from([3, 4, 9, 30]))
+    mesh = Mesh(n=n, h=0.05, boundary=Boundary.OUTFLOW)
+    left = np.arange(n) < draw(st.integers(0, n))
+    rho = np.where(left, draw(st.sampled_from(_RHO_VALUES)), draw(st.sampled_from(_RHO_VALUES)))
+    u_values = st.sampled_from([*_U_VALUES, math.nan])
+    u = np.where(left, draw(u_values), draw(u_values))
+    for k in draw(st.lists(st.integers(0, n - 1), max_size=2)):
+        u[k] = -u[k]
+    rows = draw(st.integers(1, 4))
+    alphas = draw(st.lists(st.floats(0.2, 1.5), min_size=rows, max_size=rows))
+    betas = draw(st.lists(st.floats(0.05, 3.0), min_size=rows, max_size=rows))
+    return (MeshState(mesh, rho, u), alphas, betas, draw(st.sampled_from([0.05, 0.3])),
+            draw(st.sampled_from([1, 3])))
+
+
+def _one_ulp_bump():
+    """A state whose one-ulp velocity bump the first step rounds away, so
+    that no edge changes across the second step."""
+    u = np.full(9, 0.1)
+    u[4] = np.nextafter(0.1, 0.0)
+    return MeshState(Mesh(n=9, h=0.05, boundary=Boundary.OUTFLOW), np.full(9, 0.7), u)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_riemann_batches(), st.sampled_from(SchemeKind), st.sampled_from(Variant))
+@example((_one_ulp_bump(), [0.4, 0.4], [0.1, 0.3], 0.05, 1), SchemeKind.STANDARD, Variant.FULL_QGD)
+def test_run_batch_equals_a_plain_whole_row_loop(batch, kind, variant):
+    # stepping in place on a carried window, with the extrema taken over it,
+    # changes no bit of any row, whichever step the other rows leave at; each
+    # window carried into a step is the one step_batch would find itself
+    initial, alphas, betas, t_end, record_every = batch
+    cfg = SchemeConfig(alpha=0.4, beta=0.3, alpha_s=4.0 / 3.0, regularization=variant, scheme=kind)
+
+    def step(rho, u, *args, window, **kwargs):
+        assert window == _window(rho, u)
+        return step_batch(rho, u, *args, window=window, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(schemes, "step_batch", step)
+        got = dict(run_batch(initial, MODEL, cfg, alphas, betas, t_end, record_every))
+    assert sorted(got) == list(range(len(alphas)))
+    for r, traj in got.items():
+        rows, snapshots, steps, note = _plain_run(initial, cfg, alphas[r], betas[r], t_end,
+                                                  record_every)
+        assert (traj.steps, traj.overflow, traj.note) == (steps, bool(note), note)
+        d = np.stack([getattr(traj.diagnostics, f.name) for f in fields(traj.diagnostics)], axis=1)
+        assert np.array_equal(d.view(np.int64), rows.view(np.int64))
+        assert [t for t, _ in traj.snapshots] == [t for t, _, _ in snapshots]
+        for (_, state), (_, rho, u) in zip(traj.snapshots, snapshots):
+            assert np.array_equal(state.rho.view(np.int64), rho.view(np.int64))
+            assert np.array_equal(state.u.view(np.int64), u.view(np.int64))
 
 
 @pytest.mark.parametrize("alphas,betas", [(0.4, 0.3), ([[0.4, 0.5]], [[0.3, 0.3]]),
