@@ -130,8 +130,9 @@ class ClassifyThresholds:
                    rho_floor=floor_factor * lo, rho_ceil=ceil_factor * hi)
 
 
-def _total_variation(v: np.ndarray) -> float:
-    return float(np.sum(np.abs(np.diff(v))))
+def _total_variation(v: np.ndarray, diffs: np.ndarray) -> float:
+    """sum(|diff(v)|) of a 1-D v, its bits too, with the differences in diffs."""
+    return float(np.add.reduce(np.abs(np.subtract(v[1:], v[:-1], out=diffs), out=diffs)))
 
 
 def classify_run(traj: Trajectory, thresholds: ClassifyThresholds) -> RunVerdict:
@@ -147,10 +148,11 @@ def classify_run(traj: Trajectory, thresholds: ClassifyThresholds) -> RunVerdict
     if traj.overflow:
         return RunVerdict(Classification.OVERFLOW, math.inf, completed=False)
 
-    tv0 = _total_variation(traj.snapshots[0][1].rho)
+    diffs = np.empty(traj.snapshots[0][1].rho.size - 1)
+    tv0 = _total_variation(traj.snapshots[0][1].rho, diffs)
     score = 0.0
     for _, state in traj.snapshots:
-        tv = _total_variation(state.rho)
+        tv = _total_variation(state.rho, diffs)
         if tv0 > 0.0:
             score = max(score, tv / tv0)
         elif tv > 1e-12:

@@ -91,18 +91,22 @@ def _diff(v: np.ndarray, h: float, out: np.ndarray) -> np.ndarray:
 class _Workspace:
     """Kernel temporaries for node arrays (..., w): 5 padded (w + 2), 12 half-mesh
     (w + 1) and 4 node arrays, contiguous views into one block per group that
-    grows (at least doubling) as needed; the kernel writes each before reading."""
+    grows (at least doubling) as needed; the kernel writes each before reading.
+    The views of the last shape asked for are kept."""
 
     def __init__(self):
-        self._buffers = [np.empty(0)] * 3
+        self._buffers, self._shape, self._views = [np.empty(0)] * 3, None, []
 
     def views(self, shape: tuple[int, ...]) -> list[np.ndarray]:
         """The padded, half-mesh and node buffers for node arrays of shape."""
-        *lead, w = shape
-        shapes = [(k, *lead, w + g) for k, g in ((5, 2), (12, 1), (4, 0))]
-        self._buffers = [b if b.size >= math.prod(s) else np.empty(max(math.prod(s), 2 * b.size))
-                         for b, s in zip(self._buffers, shapes)]
-        return [b[:math.prod(s)].reshape(s) for b, s in zip(self._buffers, shapes)]
+        if shape != self._shape:
+            *lead, w = shape
+            shapes = [(k, *lead, w + g) for k, g in ((5, 2), (12, 1), (4, 0))]
+            self._buffers = [b if b.size >= math.prod(s) else np.empty(max(math.prod(s), 2 * b.size))
+                             for b, s in zip(self._buffers, shapes)]
+            self._shape = shape
+            self._views = [b[:math.prod(s)].reshape(s) for b, s in zip(self._buffers, shapes)]
+        return self._views
 
 
 def _half_mesh(rho: np.ndarray, u: np.ndarray, model: GasModel, cfg: SchemeConfig,
@@ -278,17 +282,20 @@ class Trajectory:
 
 def _diagnostics(t: np.ndarray, rho: np.ndarray, u: np.ndarray, h: float, nodes: slice,
                  out: np.ndarray, rho_u: np.ndarray) -> np.ndarray:
-    """The Diagnostics columns per row, into out (rows, 6), with rho*u in rho_u;
-    the extrema are over the nodes, which must hold every value of the rows."""
+    """The Diagnostics columns per row, into out (rows, 6), using rho_u for rho*u
+    and |u|; the extrema are over the nodes, which must hold all values of the rows."""
     out[:, 0] = t
     with np.errstate(all="ignore"):
-        np.sum(rho, axis=-1, out=out[:, 1])
-        np.sum(np.multiply(rho, u, out=rho_u), axis=-1, out=out[:, 2])
+        np.add.reduce(rho, axis=-1, out=out[:, 1])
+        np.add.reduce(np.multiply(rho, u, out=rho_u), axis=-1, out=out[:, 2])
         out[:, 1:3] *= h
-        np.min(rho[:, nodes], axis=-1, out=out[:, 3])
-        np.max(np.abs(u[:, nodes]), axis=-1, out=out[:, 4])
-        np.max(rho[:, nodes], axis=-1, out=out[:, 5])
+        np.minimum.reduce(rho[:, nodes], axis=-1, out=out[:, 3])
+        np.maximum.reduce(np.abs(u[:, nodes], out=rho_u[:, nodes]), axis=-1, out=out[:, 4])
+        np.maximum.reduce(rho[:, nodes], axis=-1, out=out[:, 5])
     return out
+
+
+_RECORD_STEPS = 64     # first length of run_batch's per-step record, which doubles when full
 
 
 def run_batch(initial: MeshState, model: GasModel, cfg: SchemeConfig, alphas, betas,
@@ -318,55 +325,61 @@ def run_batch(initial: MeshState, model: GasModel, cfg: SchemeConfig, alphas, be
         raise ConfigError("every time step beta*h/c_ref must be finite and > 0")
     alphas = alphas[:, None]
 
+    # the arrays of the rows still running, compacted together as rows leave;
+    # rec[r, k] is row r's Diagnostics row after k steps
     live = np.arange(alphas.shape[0])
     rho = np.tile(initial.rho, (live.size, 1))
     u = np.tile(initial.u, (live.size, 1))
     t = np.full(live.size, initial.t)
     work, record, rho_u = _Workspace(), np.empty((live.size, 6)), np.empty_like(rho)
-    diag = [[row] for row in _diagnostics(t, rho, u, mesh.h, slice(None), record, rho_u).tolist()]
+    rec = np.empty((live.size, _RECORD_STEPS, 6))
+    rec[:, 0] = d = _diagnostics(t, rho, u, mesh.h, slice(None), record, rho_u)
     snapshots = [[(initial.t, initial)] for _ in live]
     steps, window = 0, (0, mesh.n)
-    eps = 1e-12 * max(1.0, abs(t_end))
+    t_stop = t_end - 1e-12 * max(1.0, abs(t_end))
+    ok, keep = np.ones(live.size, dtype=bool), t < t_stop
 
-    def finish(k: int, overflow: bool, note: str = "") -> tuple[int, Trajectory]:
-        r = int(live[k])
-        if not overflow and snapshots[r][-1][0] < t[k]:
-            snapshots[r].append((float(t[k]), MeshState(mesh, rho[k], u[k], float(t[k]))))
-        diagnostics = Diagnostics(*(np.asarray(c, dtype=float) for c in zip(*diag[r])))
-        traj = Trajectory(snapshots[r], diagnostics, overflow=overflow, steps=steps, note=note)
-        diag[r] = snapshots[r] = None
+    def finish(k: int) -> tuple[int, Trajectory]:
+        r, overflow = int(live[k]), not ok[k]
+        tk = float(t[k])
+        note = "" if not overflow else (f"density became non-positive at t={tk}" if d[k, 3] <= 0.0
+                                        else f"non-finite value at t={tk}")
+        if not overflow and snapshots[r][-1][0] < tk:
+            snapshots[r].append((tk, MeshState(mesh, rho[k], u[k], tk)))
+        done = steps - overflow                  # an overflow's last step is not counted
+        diagnostics = Diagnostics(*rec[r, :done + 1].T)      # views of row r's record
+        traj = Trajectory(snapshots[r], diagnostics, overflow=overflow, steps=done, note=note)
+        snapshots[r] = None
         return r, traj
 
     while True:
-        running = t < t_end - eps
-        for k in np.flatnonzero(~running):
-            yield finish(k, overflow=False)
-        if not running.all():
-            live, rho, u, t = live[running], rho[running], u[running], t[running]
-        if not live.size:
-            return
-        step_dt = np.minimum(dts[live], t_end - t)
+        if not keep.all():
+            for k in np.flatnonzero(~keep):
+                yield finish(k)
+            live, rho, u, t, dts, alphas = (v[keep] for v in (live, rho, u, t, dts, alphas))
+            if not live.size:
+                return
+        step_dt = np.minimum(dts, t_end - t)
         if mesh.boundary is Boundary.OUTFLOW:     # a step changes no edge outside its window
             window = _window(rho, u, max(window[0] - 1, 0), window[1] + 1)
-        step_batch(rho, u, model, cfg, mesh, alphas[live], step_dt[:, None], work=work,
+        step_batch(rho, u, model, cfg, mesh, alphas, step_dt[:, None], work=work,
                    out=(rho, u), window=window)
-        t = t + step_dt
+        t += step_dt
+        steps += 1
+        if steps == rec.shape[1]:                # full: double it for the running rows
+            grown = np.empty((rec.shape[0], 2 * steps, 6))
+            for r in live:
+                grown[r, :steps] = rec[r]
+            rec = grown
         d = _diagnostics(t, rho, u, mesh.h, slice(*window), record[:live.size], rho_u[:live.size])
+        rec[live, steps] = d
         # every density positive and every value finite; NaN fails min_rho > 0
         ok = (d[:, 3] > 0.0) & (d[:, 5] < np.inf) & np.isfinite(d[:, 4])
-        for k in np.flatnonzero(~ok):
-            note = (f"density became non-positive at t={float(t[k])}" if d[k, 3] <= 0.0
-                    else f"non-finite value at t={float(t[k])}")
-            yield finish(k, overflow=True, note=note)
-        if not ok.all():
-            live, rho, u, t, d = live[ok], rho[ok], u[ok], t[ok], d[ok]
-        steps += 1
-        for r, row in zip(live.tolist(), d.tolist()):
-            diag[r].append(row)
         if steps % record_every == 0:
-            for k, r in enumerate(live.tolist()):
+            for k in np.flatnonzero(ok):
                 tk = float(t[k])
-                snapshots[r].append((tk, MeshState(mesh, rho[k], u[k], tk)))
+                snapshots[live[k]].append((tk, MeshState(mesh, rho[k], u[k], tk)))
+        keep = ok & (t < t_stop)
 
 
 def run_simulation(initial: MeshState, model: GasModel, cfg: SchemeConfig,

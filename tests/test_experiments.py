@@ -1,5 +1,6 @@
 """Riemann initial data, run classification, region sweeps."""
 
+import collections
 import csv
 import math
 from dataclasses import replace
@@ -27,7 +28,8 @@ from qgd1d import (
     run_simulation,
     sweep_region,
 )
-from qgd1d import output
+from qgd1d import experiments, output, schemes
+from qgd1d.experiments import _total_variation
 from qgd1d.schemes import Diagnostics, Trajectory
 
 
@@ -189,6 +191,17 @@ class TestClassify:
         assert verdict.oscillation_score == math.inf
         assert verdict.classification is Classification.NON_CONSERVATIVE
 
+    @pytest.mark.parametrize("n", [3, 249, 25_000])
+    def test_total_variation_has_the_bits_of_sum_abs_diff(self, n):
+        # subnormal to large magnitudes, and -0.0 after 0.0 (a -0.0 difference)
+        rng = np.random.default_rng(n)
+        v = rng.standard_normal(n) * 10.0 ** rng.integers(-320, 300, n)
+        v[:3] = 0.0, -0.0, 5e-324
+        v[n // 2:n // 2 + 2] = 0.0, -0.0
+        diffs = np.empty(n - 1)
+        for w in (v, v[::-1].copy(), np.abs(v)):
+            assert _total_variation(w, diffs).hex() == float(np.sum(np.abs(np.diff(w)))).hex()
+
     def test_thresholds_from_setup(self):
         thr = ClassifyThresholds.for_setup(PAPER_SETUP)
         assert thr.rho_floor == pytest.approx(0.05)
@@ -321,6 +334,33 @@ class TestSweep:
             0.5 * (row.largest_conservative + row.smallest_nonconservative))
         assert row.gap_to_criterion is not None
         assert row.gap_to_sufficient > 0.0
+
+    def test_a_demo_sized_shard_does_per_row_work_only_for_exits_and_snapshots(self, monkeypatch):
+        # one batch of 54 demo cells (every other demo beta) makes one
+        # step_batch call per step, one _diagnostics call per step and one for
+        # the initial state, and a MeshState only for each snapshot it yields
+        calls = collections.Counter()
+
+        def counted(name, fn):
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return call
+
+        for name in ("step_batch", "_diagnostics", "MeshState"):
+            monkeypatch.setattr(schemes, name, counted(name, getattr(schemes, name)))
+        trajs = []
+        monkeypatch.setattr(experiments, "classify_run",
+                            lambda traj, thresholds: classify_run(trajs.append(traj) or traj,
+                                                                  thresholds))
+        sweep_region(PAPER_SETUP, MODEL, enthalpy_cfg(0.4, 0.45, 2.0176878258221596),
+                     alphas=[0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0],
+                     betas=[0.6, 0.74, 0.88, 1.02, 1.16, 1.3], beta_mode="relative",
+                     record_every=10, workers=1)
+        assert len(trajs) == 54 and 0 < sum(traj.overflow for traj in trajs) < 54
+        steps = max(traj.steps + traj.overflow for traj in trajs)
+        assert calls == {"step_batch": steps, "_diagnostics": steps + 1,
+                         "MeshState": sum(len(traj.snapshots) - 1 for traj in trajs)}
 
     def test_all_conservative_column_reports_open_transition(self):
         setup = self._small_setup()
