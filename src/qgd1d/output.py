@@ -9,19 +9,21 @@ import tempfile
 
 import numpy as np
 
+from .errors import LengthMismatch
 from .experiments import Classification, RegionMap, TransitionRow
 from .mesh import MeshState
 from .schemes import Trajectory
 from .spectral import StabilityVerdict
 
 
-def atomic_write_text(path: str, text: str) -> None:
+def atomic_write_text(path: str, *texts: str) -> None:
+    """Writes the concatenation of texts."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=os.path.basename(path))
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as f:
-            f.write(text)
+            f.writelines(texts)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -48,25 +50,40 @@ def _csv_text(header, rows) -> str:
     return buf.getvalue()
 
 
-def _column_text(values, fmt=repr) -> list[str]:
-    """fmt (repr by default) of each float of values, computed once per distinct
-    bit pattern (np.unique on the float values would merge -0.0 with 0.0)."""
+def _column_text(values) -> list[str]:
+    """repr of each float of values, computed once per distinct bit pattern
+    (np.unique on the float values would merge -0.0 with 0.0)."""
     distinct, index = np.unique(np.asarray(values, dtype=float).view(np.int64), return_inverse=True)
-    text = list(map(fmt, distinct.view(float).tolist()))
+    text = list(map(repr, distinct.view(float).tolist()))
     return list(map(text.__getitem__, index.tolist()))
 
 
-def _float_csv_text(header, columns, texts=()) -> str:
-    """_csv_text of the _column_text lists texts, then equal-length float
-    columns: _fmt writes a float as its repr, and no such field needs quoting."""
-    texts = [*texts, *map(_column_text, columns)]
-    return "\n".join([",".join(header), *map(",".join, zip(*texts))]) + "\n"
+def _run_texts(x_text, fmt, *columns) -> list[str]:
+    """The text of each run of entries equal bit for bit in every column (a value compare
+    would join -0.0 and 0.0), in turn: its x texts joined by, then followed by, fmt of
+    the run's values.  Equal to fmt per entry, since fmt reads only its own values."""
+    bits = [np.asarray(c, dtype=float).view(np.int64) for c in columns]
+    cuts = np.flatnonzero(np.logical_or.reduce([b[1:] != b[:-1] for b in bits])) + 1
+    starts = [0, *cuts.tolist()]
+    tails = map(fmt, *(b[starts].view(float).tolist() for b in bits))
+    return [text for a, b, tail in zip(starts, [*starts[1:], len(x_text)], tails)
+            for text in (tail.join(x_text[a:b]), tail)]
+
+
+def _float_csv_text(header, columns) -> str:
+    """_csv_text of equal-length float columns, each formatted by _column_text: _fmt
+    writes a float as its repr, and no such field needs quoting."""
+    return "\n".join([",".join(header), *map(",".join, zip(*map(_column_text, columns)))]) + "\n"
 
 
 def write_snapshot_csv(path: str, state: MeshState, x_text: list[str] | None = None) -> list[str]:
-    """Returns the node column's text, to pass back for states on the same mesh."""
-    x_text = x_text or _column_text(state.mesh.nodes)
-    atomic_write_text(path, _float_csv_text(["x", "rho", "u"], (state.rho, state.u), [x_text]))
+    """The text of _csv_text, a run of rows equal in rho and u at a time (_run_texts).
+    Returns the node column's text, to pass back for states on the same mesh."""
+    if x_text is None:
+        x_text = list(map(repr, state.mesh.nodes.tolist()))
+    if len(x_text) != state.mesh.n:
+        raise LengthMismatch(f"x_text has {len(x_text)} entries for a mesh of {state.mesh.n} nodes")
+    atomic_write_text(path, "x,rho,u\n", *_run_texts(x_text, ",{!r},{!r}\n".format, state.rho, state.u))
     return x_text
 
 
@@ -171,13 +188,13 @@ class _Frame:
     def x_text(self, xs) -> list[str]:
         """The pixel-x text of each point of xs, with the comma that follows it."""
         # px and py map whole float arrays by the same operations as one point
-        return _column_text(self.px(np.asarray(xs, dtype=float)), "{:.2f},".format)
+        return list(map("{:.2f},".format, self.px(np.asarray(xs, dtype=float)).tolist()))
 
     def polyline(self, xs, ys, dash: str = "", color: str = "black", x_text=None) -> str:
-        """x_text, if given, is x_text(xs) of a frame with the same x mapping."""
-        texts = [""] * (2 * len(ys))                # "x,y x,y ...": x and y texts in turn
-        texts[::2] = x_text or self.x_text(xs)
-        texts[1::2] = _column_text(self.py(np.asarray(ys, dtype=float)), "{:.2f} ".format)
+        """A run of equal pixel-y values at a time (_run_texts).  x_text, if given, is
+        x_text(xs) of a frame with the same x mapping."""
+        texts = _run_texts(x_text or self.x_text(xs), "{:.2f} ".format,  # "x,y x,y ..."
+                           self.py(np.asarray(ys, dtype=float)))
         pts = "".join(texts)[:-1]
         dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
         return f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"{dash_attr}/>'

@@ -37,6 +37,19 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 DEMO_CONFIG = ROOT / "configs" / "riemann_demo.json"
 # the demo on ten times the nodes at a tenth of the spacing, to t = 0.05
 _WIDE = ("mesh.n=2500", "mesh.h=0.0008", "experiment.t_end=0.05")
+# the benchmark's solve-large run: the standard scheme on 25 000 nodes, 7 snapshots
+_SOLVE_LARGE = ("scheme.kind=standard", "mesh.n=25000", "mesh.h=8e-5", "experiment.t_end=0.02",
+                "experiment.record_every=200")
+
+
+def _solve_digest(out_dir, overrides):
+    """The number of files a demo solve writes and the md5 of their names and bytes."""
+    assert main(["solve", str(DEMO_CONFIG), *overrides, "--out", str(out_dir)]) == 0
+    names = sorted(p.name for p in out_dir.iterdir())
+    md5 = hashlib.md5()
+    for name in names:
+        md5.update(name.encode() + b"\0" + (out_dir / name).read_bytes())
+    return len(names), md5.hexdigest()
 
 
 class TestConfig:
@@ -281,13 +294,11 @@ class TestSolve:
     def test_demo_solve_outputs_are_byte_identical_to_the_reference(self, tmp_path, overrides,
                                                                     digest):
         # every snapshot, diagnostics, verdict and SVG byte of the demo solve must not move
-        assert main(["solve", str(DEMO_CONFIG), *overrides, "--out", str(tmp_path)]) == 0
-        names = sorted(p.name for p in tmp_path.iterdir())
-        md5 = hashlib.md5()
-        for name in names:
-            md5.update(name.encode() + b"\0" + (tmp_path / name).read_bytes())
-        assert len(names) == 33
-        assert md5.hexdigest() == digest
+        assert _solve_digest(tmp_path, overrides) == (33, digest)
+
+    def test_solve_large_outputs_are_byte_identical_to_the_reference(self, tmp_path):
+        # 24 000-node end runs, written a run of equal rows at a time
+        assert _solve_digest(tmp_path, _SOLVE_LARGE) == (10, "be75d59f20f531009b33d0e2d58e99d8")
 
     def test_overflow_run_exit_two(self, tmp_path, capsys):
         path = _fast_config(tmp_path, beta=6.0)

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qgd1d import (
     Boundary,
@@ -20,6 +22,7 @@ from qgd1d import (
     sweep_region,
 )
 from qgd1d import output
+from qgd1d.errors import LengthMismatch
 from qgd1d.output import profile_svg, region_map_svg, write_diagnostics_csv, write_snapshot_csv
 
 MODEL = GasModel(1.0, 2.0)
@@ -92,6 +95,49 @@ def test_snapshots_sharing_a_mesh_equal_per_value_reference(tmp_path):
     assert (tmp_path / "snapshot_0000.csv").read_text().splitlines()[2].endswith(",-0.0")
 
 
+def _one_ulp_apart(*values):
+    return [w for v in values for w in (np.nextafter(v, -math.inf), v, np.nextafter(v, math.inf))]
+
+
+# small pools, so that runs of values equal but for their bits often meet:
+# positive densities, with subnormals, one-ulp neighbours and +inf
+_RHO_POOL = [5e-324, 2.5e-320, *_one_ulp_apart(0.1, 1.0), 1.7976931348623157e308, math.inf]
+# velocities, with both zeros, both NaNs and both infinities
+_U_POOL = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, -5e-324, *_one_ulp_apart(1.0 / 3.0)]
+
+
+def _runs_of(pool, longest=50, min_size=1, max_size=40):
+    """A column of runs of 1..longest equal entries, each a value of pool."""
+    run = st.tuples(st.integers(1, longest), st.sampled_from(pool))
+    return st.lists(run, min_size=min_size, max_size=max_size).map(
+        lambda runs: np.repeat([v for _, v in runs], [k for k, _ in runs]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_runs_of(_RHO_POOL), _runs_of(_U_POOL))
+@example(np.ones(4), np.array([0.0, -0.0, -0.0, 0.0]))
+def test_snapshot_csv_of_runs_equals_per_value_reference(tmp_path_factory, rho, u):
+    # rho and u change at independent nodes, so a row run ends where either column changes
+    n = max(3, min(len(rho), len(u)))
+    rho, u = np.resize(rho, n), np.resize(u, n)
+    mesh = Mesh(n=n, h=1.0 / 3.0 / n, x_min=-0.7, boundary=Boundary.OUTFLOW)
+    path = tmp_path_factory.mktemp("runs") / "snapshot.csv"
+    x_text = None
+    for state in (MeshState(mesh, rho, u), MeshState(mesh, rho[::-1], u[::-1])):
+        x_text = write_snapshot_csv(str(path), state, x_text)
+        want = _reference_csv(["x", "rho", "u"], zip(mesh.nodes, state.rho, state.u))
+        assert path.read_text(encoding="utf-8") == want
+
+
+@pytest.mark.parametrize("length", [8, 10, 0])
+def test_snapshot_csv_rejects_node_text_of_another_length(tmp_path, length):
+    state = _awkward_state()
+    path = tmp_path / "snapshot.csv"
+    with pytest.raises(LengthMismatch, match=f"{length} entries for a mesh of 9 nodes"):
+        write_snapshot_csv(str(path), state, ["0.0"] * length)
+    assert not path.exists()
+
+
 def test_diagnostics_csv_equals_per_value_reference(tmp_path):
     mesh = Mesh(n=40, h=0.025, boundary=Boundary.OUTFLOW)
     x = mesh.nodes
@@ -142,3 +188,20 @@ def test_region_map_svg_equals_per_point_polyline(monkeypatch):
     got = region_map_svg(region, title="demo")
     monkeypatch.setattr(output._Frame, "polyline", _reference_polyline)
     assert got == region_map_svg(region, title="demo")
+
+
+@settings(max_examples=60, deadline=None)
+@given(_runs_of([*_one_ulp_apart(1.0, 0.1), 0.41439, 0.2], longest=400, min_size=3, max_size=8),
+       _runs_of([-0.0, 0.0, 5e-324, *_one_ulp_apart(0.1), 1.1], longest=400, max_size=8))
+def test_profile_svg_of_runs_equals_per_point_polyline(rho, u):
+    # Riemann-like: long uniform runs and a few smooth nodes; one-ulp neighbours and both
+    # zeros give distinct values of one pixel text
+    n = len(rho)
+    front = slice(n // 3, n // 3 + 7)
+    rho[front] = np.linspace(rho[front][0], 0.3, len(rho[front]))
+    mesh = Mesh(n=n, h=1.0 / n, x_min=-0.5, boundary=Boundary.OUTFLOW)
+    state = MeshState(mesh, rho, np.resize(u, n))
+    got = profile_svg(state, title="t=0.1")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(output._Frame, "polyline", _reference_polyline)
+        assert got == profile_svg(state, title="t=0.1")
