@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import csv
 import os
-import tempfile
 
 import numpy as np
 
@@ -20,7 +19,9 @@ def atomic_write_text(path: str, *texts: str) -> None:
     """Writes the concatenation of texts."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=os.path.basename(path))
+    tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}{os.path.basename(path)}")
+    # created as open(path, "w") creates a file: mode 0o666 less the umask
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as f:
             f.writelines(texts)
@@ -50,14 +51,6 @@ def _csv_text(header, rows) -> str:
     return buf.getvalue()
 
 
-def _column_text(values) -> list[str]:
-    """repr of each float of values, computed once per distinct bit pattern
-    (np.unique on the float values would merge -0.0 with 0.0)."""
-    distinct, index = np.unique(np.asarray(values, dtype=float).view(np.int64), return_inverse=True)
-    text = list(map(repr, distinct.view(float).tolist()))
-    return list(map(text.__getitem__, index.tolist()))
-
-
 def _run_texts(x_text, fmt, *columns) -> list[str]:
     """The text of each run of entries equal bit for bit in every column (a value compare
     would join -0.0 and 0.0), in turn: its x texts joined by, then followed by, fmt of
@@ -68,12 +61,6 @@ def _run_texts(x_text, fmt, *columns) -> list[str]:
     tails = map(fmt, *(b[starts].view(float).tolist() for b in bits))
     return [text for a, b, tail in zip(starts, [*starts[1:], len(x_text)], tails)
             for text in (tail.join(x_text[a:b]), tail)]
-
-
-def _float_csv_text(header, columns) -> str:
-    """_csv_text of equal-length float columns, each formatted by _column_text: _fmt
-    writes a float as its repr, and no such field needs quoting."""
-    return "\n".join([",".join(header), *map(",".join, zip(*map(_column_text, columns)))]) + "\n"
 
 
 def write_snapshot_csv(path: str, state: MeshState, x_text: list[str] | None = None) -> list[str]:
@@ -88,9 +75,11 @@ def write_snapshot_csv(path: str, state: MeshState, x_text: list[str] | None = N
 
 
 def write_diagnostics_csv(path: str, traj: Trajectory) -> None:
+    """The text of _csv_text, a run of rows equal in every column but t at a time (_run_texts)."""
     d = traj.diagnostics
-    atomic_write_text(path, _float_csv_text(["t", "mass", "momentum", "min_rho", "max_abs_u"],
-                                            (d.t, d.mass, d.momentum, d.min_rho, d.max_abs_u)))
+    atomic_write_text(path, "t,mass,momentum,min_rho,max_abs_u\n",
+                      *_run_texts(list(map(repr, d.t.tolist())), ",{!r},{!r},{!r},{!r}\n".format,
+                                  d.mass, d.momentum, d.min_rho, d.max_abs_u))
 
 
 def write_region_csv(path: str, region: RegionMap) -> None:

@@ -44,17 +44,19 @@ One step of the enthalpy scheme:
     (rho u)+ = rho u - dt * [ node_diff(j (s u) - pi) + node_avg((s rho) diff(h(rho))) ]
 
 One private kernel, `_half_mesh` and `_update`, evaluates both schemes
-along the last axis of (rows, n) node arrays.  It is three-point and has no
-reductions, so nodes whose (rho, u) and neighbours' are equal bit for bit step
-to equal bits.  On an outflow mesh `step_batch`, the one public step (of one
-state or a batch of rows), therefore steps only a window: the nodes between
-the uniform runs at both ends of every row and one node of each run, whose
-results it copies over the runs.  It compares bits, since values would join
--0.0 and 0.0.  A periodic wrap joins the two runs, so there it steps every
-node.  `run_batch` (whose one-row case is `run_simulation`) steps in place on
-one `_Workspace`, carrying the window from step to step; only the mass and
-momentum sums of its per-step diagnostics read whole rows, and overflow is
-found from these: min_rho > 0, max_rho < inf, finite max_abs_u.
+along the last axis of (rows, n) node arrays, over the old state: the schemes
+are explicit and two-level, and the kernel reads the old state only through
+the padded copies it takes first.  It is three-point and has no reductions, so
+nodes whose (rho, u) and neighbours' are equal bit for bit step to equal bits.
+On an outflow mesh `step_batch`, the one public step (of one state or a batch
+of rows), therefore steps only a window: the nodes between the uniform runs at
+both ends of every row and one node of each run, whose new bits it writes over
+the runs where they change.  It compares bits, since values would join -0.0
+and 0.0.  A periodic wrap joins the two runs, so there it steps every node.
+`run_batch` (whose one-row case is `run_simulation`) steps in place on one
+`_Workspace`, carrying the window from step to step; only the mass and momentum
+sums of its per-step diagnostics read whole rows, and overflow is found from
+these: min_rho > 0, max_rho < inf, finite max_abs_u.
 """
 
 from __future__ import annotations
@@ -90,7 +92,7 @@ def _diff(v: np.ndarray, h: float, out: np.ndarray) -> np.ndarray:
 
 class _Workspace:
     """Kernel temporaries for node arrays (..., w): 5 padded (w + 2), 12 half-mesh
-    (w + 1) and 4 node arrays, contiguous views into one block per group that
+    (w + 1) and 2 node arrays, contiguous views into one block per group that
     grows (at least doubling) as needed; the kernel writes each before reading.
     The views of the last shape asked for are kept."""
 
@@ -101,7 +103,7 @@ class _Workspace:
         """The padded, half-mesh and node buffers for node arrays of shape."""
         if shape != self._shape:
             *lead, w = shape
-            shapes = [(k, *lead, w + g) for k, g in ((5, 2), (12, 1), (4, 0))]
+            shapes = [(k, *lead, w + g) for k, g in ((5, 2), (12, 1), (2, 0))]
             self._buffers = [b if b.size >= math.prod(s) else np.empty(max(math.prod(s), 2 * b.size))
                              for b, s in zip(self._buffers, shapes)]
             self._shape = shape
@@ -169,13 +171,14 @@ def _half_mesh(rho: np.ndarray, u: np.ndarray, model: GasModel, cfg: SchemeConfi
 
 
 def _update(rho: np.ndarray, u: np.ndarray, model: GasModel, cfg: SchemeConfig, mesh: Mesh,
-            alpha, dt, work: _Workspace, rho_new: np.ndarray, u_new: np.ndarray) -> None:
-    """The update of the module docstring, ghosts at rho's and u's own ends."""
-    padded, half, (a, b, *_) = work.views(rho.shape)
+            alpha, dt, work: _Workspace) -> None:
+    """The update of the module docstring, ghosts at rho's and u's own ends, written
+    over rho and u: past _pad the old state is read only through its padded copies."""
+    padded, half, (a, b) = work.views(rho.shape)
     with np.errstate(all="ignore"):
         j, pi, _, _, srho, su, extra = _half_mesh(rho, u, model, cfg, mesh, alpha, padded, half)
-        h = mesh.h
-        np.subtract(rho, np.multiply(_diff(j, h, a), dt, out=a), out=rho_new)
+        h, rho_old, u_old = mesh.h, padded[0][..., 1:-1], padded[1][..., 1:-1]
+        np.subtract(rho_old, np.multiply(_diff(j, h, a), dt, out=a), out=rho)
         j *= su                                  # the momentum flux; j is not read again
         if cfg.scheme is SchemeKind.STANDARD:
             j += extra
@@ -185,9 +188,9 @@ def _update(rho: np.ndarray, u: np.ndarray, model: GasModel, cfg: SchemeConfig, 
             extra *= srho
             b += _avg(extra, a)
         b *= dt
-        np.multiply(rho, u, out=a)
+        np.multiply(rho_old, u_old, out=a)
         a -= b
-        np.divide(a, rho_new, out=u_new)
+        np.divide(a, rho, out=u)
 
 
 def _window(rho: np.ndarray, u: np.ndarray, a: int = 0, b: int | None = None) -> tuple[int, int]:
@@ -211,7 +214,7 @@ def _window(rho: np.ndarray, u: np.ndarray, a: int = 0, b: int | None = None) ->
 
 
 def step_batch(rho: np.ndarray, u: np.ndarray, model: GasModel, cfg: SchemeConfig,
-               mesh: Mesh, alpha, dt, *, work: _Workspace | None = None, out=None,
+               mesh: Mesh, alpha, dt, *, work: _Workspace | None = None, in_place: bool = False,
                window: tuple[int, int] | None = None) -> tuple[np.ndarray, np.ndarray]:
     """One step of cfg.scheme, by the updates of the module docstring, for the
     node arrays rho and u: one state (shape (n,)) or independent runs on one
@@ -222,39 +225,37 @@ def step_batch(rho: np.ndarray, u: np.ndarray, model: GasModel, cfg: SchemeConfi
     (rho, u) without checking them: a row whose density turned non-positive or
     a value non-finite has overflowed, and numpy raises no warning for it.  A
     non-positive input density raises NonPositiveDensity.  The result goes into
-    fresh arrays or into out = (rho_out, u_out), each its input itself (a step
-    in place) or overlapping nothing.  window = (lo, hi) skips the search for
-    the nodes to step: the caller guarantees that in every row nodes 0..lo+1 are
-    equal bit for bit, and so are nodes hi-2..n-1 (only 0 <= lo < hi <= n is
-    checked, and a periodic mesh takes only (0, n)).  work lends the kernel its
-    temporaries (run_batch keeps one per batch); it never changes a result.
+    fresh arrays, or with in_place into rho and u, which must be writeable float
+    arrays (np.asarray returns them as they are) that share no memory.  window =
+    (lo, hi) skips the search for the nodes to step: the caller guarantees that in
+    every row nodes 0..lo+1 are equal bit for bit, and so are nodes hi-2..n-1
+    (only 0 <= lo < hi <= n is checked, and a periodic mesh takes only (0, n)).
+    work lends the kernel its temporaries (run_batch keeps one per batch); it
+    never changes a result.
     """
+    rho_in, u_in = rho, u
     rho, u = np.asarray(rho, dtype=float), np.asarray(u, dtype=float)
+    if in_place and (rho is not rho_in or u is not u_in or np.may_share_memory(rho, u)
+                     or not (rho.flags.writeable and u.flags.writeable)):
+        raise ValueError("in_place needs writeable float arrays rho and u that share no memory")
     n = mesh.n
     if rho.shape[-1] != n or u.shape != rho.shape:
         raise LengthMismatch(f"expected rho and u of equal shape with last axis {n}, "
                              f"got {rho.shape} and {u.shape}")
-    out = (np.empty_like(rho), np.empty_like(u)) if out is None else out
-    if np.may_share_memory(*out) or any(
-            o.shape != rho.shape or o.dtype != float
-            or o is not v and (np.may_share_memory(o, rho) or np.may_share_memory(o, u))
-            for o, v in zip(out, (rho, u))):
-        raise ValueError("out must be float arrays of rho's shape, each its input or disjoint")
     periodic = mesh.boundary is Boundary.PERIODIC
     lo, hi = window or ((0, n) if periodic else _window(rho, u))
     if not 0 <= lo < hi <= n or periodic and (lo, hi) != (0, n):
         raise ValueError(f"window {window}: need 0 <= lo < hi <= {n}, and (0, {n}) if periodic")
-    work = work or _Workspace()
-    new = work.views(rho[..., lo:hi].shape)[2][2:]   # never returned
-    _update(_check_density(rho[..., lo:hi]), u[..., lo:hi], model, cfg, mesh, alpha, dt, work, *new)
-    for v, o, w in zip((rho, u), out, new):
-        o[..., lo:hi] = w
-        # in place, an end run is rewritten only where its bits change
-        if lo and (o is not v or o[..., lo - 1].tobytes() != w[..., 0].tobytes()):
-            o[..., :lo] = w[..., :1]
-        if hi < n and (o is not v or o[..., hi].tobytes() != w[..., -1].tobytes()):
-            o[..., hi:] = w[..., -1:]
-    return out[0], out[1]
+    _check_density(rho[..., lo:hi])
+    if not in_place:
+        rho, u = rho.copy(), u.copy()
+    _update(rho[..., lo:hi], u[..., lo:hi], model, cfg, mesh, alpha, dt, work or _Workspace())
+    for v in (rho, u):                           # an end run takes its new bits where they change
+        if lo and v[..., lo - 1].tobytes() != v[..., lo].tobytes():
+            v[..., :lo] = v[..., lo:lo + 1]
+        if hi < n and v[..., hi].tobytes() != v[..., hi - 1].tobytes():
+            v[..., hi:] = v[..., hi - 1:hi]
+    return rho, u
 
 
 @dataclass
@@ -363,7 +364,7 @@ def run_batch(initial: MeshState, model: GasModel, cfg: SchemeConfig, alphas, be
         if mesh.boundary is Boundary.OUTFLOW:     # a step changes no edge outside its window
             window = _window(rho, u, max(window[0] - 1, 0), window[1] + 1)
         step_batch(rho, u, model, cfg, mesh, alphas, step_dt[:, None], work=work,
-                   out=(rho, u), window=window)
+                   in_place=True, window=window)
         t += step_dt
         steps += 1
         if steps == rec.shape[1]:                # full: double it for the running rows

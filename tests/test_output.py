@@ -3,6 +3,7 @@
 import csv
 import io
 import math
+import os
 
 import numpy as np
 import pytest
@@ -11,12 +12,14 @@ from hypothesis import strategies as st
 
 from qgd1d import (
     Boundary,
+    Diagnostics,
     GasModel,
     Mesh,
     MeshState,
     RiemannSetup,
     SchemeConfig,
     SchemeKind,
+    Trajectory,
     Variant,
     run_simulation,
     sweep_region,
@@ -153,14 +156,41 @@ def test_diagnostics_csv_equals_per_value_reference(tmp_path):
         assert path.read_text(encoding="utf-8") == want
 
 
+_AWKWARD = [0.0, -0.0, -0.0, 0.0, 5e-324, -5e-324, 2.5e-320, 1e-300, math.nan, -math.nan,
+            math.nan, math.inf, math.inf, -math.inf, 1.7976931348623157e308, 1.0 / 3.0]
+
+
 @pytest.mark.parametrize("columns", [
-    ([0.0, -0.0, 1e-300], [math.inf, -math.inf, math.nan]),
-    (np.linspace(-1.0, 1.0, 7), np.geomspace(1e-300, 1e300, 7)),
-    tuple(np.random.default_rng(3).standard_normal((2, 9000)) ** 3),
-])
-def test_float_csv_text_equals_per_value_reference(columns):
-    got = output._float_csv_text(["a", "b"], columns)
-    assert got == _reference_csv(["a", "b"], zip(*(np.asarray(c, dtype=float) for c in columns)))
+    [_AWKWARD, _AWKWARD[::-1], np.roll(_AWKWARD, 3), np.repeat(_AWKWARD[:8], 2), [-0.0] * 16],
+    [np.linspace(-1.0, 1.0, 7), np.geomspace(1e-300, 1e300, 7), [1e-300] * 7,
+     [0.0, -0.0] * 3 + [0.0], [math.inf] * 3 + [-math.inf] * 4],
+    list(np.random.default_rng(3).standard_normal((5, 9000)) ** 3),
+], ids=["awkward", "spans", "distinct"])
+def test_float_csv_text_equals_per_value_reference(tmp_path, columns):
+    # diagnostics.csv holds t and four columns of any floats: -0.0 beside 0.0,
+    # both NaNs and infinities, subnormals, and rows equal in all but t
+    t, mass, momentum, min_rho, max_abs_u = (np.asarray(c, dtype=float) for c in columns)
+    traj = Trajectory([], Diagnostics(t, mass, momentum, min_rho, max_abs_u, max_abs_u),
+                      overflow=False, steps=t.size - 1)
+    path = tmp_path / "diagnostics.csv"
+    write_diagnostics_csv(str(path), traj)
+    want = _reference_csv(["t", "mass", "momentum", "min_rho", "max_abs_u"],
+                          zip(t, mass, momentum, min_rho, max_abs_u))
+    assert path.read_text(encoding="utf-8") == want
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o002], ids=["022", "077", "002"])
+def test_atomic_write_gives_the_mode_of_a_plain_open(tmp_path, umask):
+    old = os.umask(umask)
+    try:
+        output.atomic_write_text(str(tmp_path / "atomic.csv"), "a,b\n")
+        with open(tmp_path / "plain.csv", "w") as f:
+            f.write("a,b\n")
+    finally:
+        os.umask(old)
+    mode = os.stat(tmp_path / "atomic.csv").st_mode & 0o777
+    assert mode == 0o666 & ~umask == os.stat(tmp_path / "plain.csv").st_mode & 0o777
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["atomic.csv", "plain.csv"]
 
 
 def test_profile_svg_equals_per_point_polyline(monkeypatch):

@@ -1,6 +1,7 @@
 """Nonlinear steppers: flux formulas, conservation, fixed points, linearization."""
 
 import math
+import tracemalloc
 from dataclasses import fields, replace
 from types import SimpleNamespace
 
@@ -449,8 +450,8 @@ def test_step_batch_equals_the_update_of_every_node(case, kind, variant):
     (rho, u), mesh, alpha, dt = case
     cfg = SchemeConfig(alpha=1.0, beta=0.3, alpha_s=0.9, regularization=variant, scheme=kind,
                        c_ref=1.5)
-    want = np.empty_like(rho), np.empty_like(u)
-    _update(rho, u, MODEL, cfg, mesh, alpha, dt, _Workspace(), *want)
+    want = rho.copy(), u.copy()                  # the kernel over the whole mesh
+    _update(*want, MODEL, cfg, mesh, alpha, dt, _Workspace())
     got = step_batch(rho, u, MODEL, cfg, mesh, alpha, dt)
     for w, g in zip(want, got):
         assert g.shape == w.shape
@@ -463,18 +464,18 @@ def test_step_batch_equals_the_update_of_every_node(case, kind, variant):
 @given(_end_run_steps(), st.sampled_from(SchemeKind), st.sampled_from(Variant))
 @example((_signed_zero_runs(), Mesh(n=40, h=0.05, boundary=Boundary.OUTFLOW), 0.4, 0.01),
          SchemeKind.STANDARD, Variant.FULL_QGD)
-def test_step_batch_out_and_window_give_the_fresh_bits(case, kind, variant):
-    # a step in place, into an out filled with NaN, or given the window it would
-    # find itself, writes every node with the bits of a plain step
+def test_step_batch_in_place_and_window_give_the_fresh_bits(case, kind, variant):
+    # a step in place, and one given the window it would find itself, write
+    # every node with the bits of a fresh step, which leaves its inputs as they were
     (rho, u), mesh, alpha, dt = case
     cfg = SchemeConfig(alpha=1.0, beta=0.3, alpha_s=0.9, regularization=variant, scheme=kind,
                        c_ref=1.5)
+    before = rho.copy(), u.copy()
     want = step_batch(rho, u, MODEL, cfg, mesh, alpha, dt)
+    assert all(np.array_equal(b.view(np.int64), v.view(np.int64)) for b, v in zip(before, (rho, u)))
     window = (0, mesh.n) if mesh.boundary is Boundary.PERIODIC else _window(rho, u)
     in_place = rho.copy(), u.copy()
-    outs = [step_batch(*in_place, MODEL, cfg, mesh, alpha, dt, out=in_place),
-            step_batch(rho, u, MODEL, cfg, mesh, alpha, dt, out=(np.full_like(rho, math.nan),
-                                                                 np.full_like(u, math.nan))),
+    outs = [step_batch(*in_place, MODEL, cfg, mesh, alpha, dt, in_place=True),
             step_batch(rho, u, MODEL, cfg, mesh, alpha, dt, window=window)]
     assert all(o is i for o, i in zip(outs[0], in_place))
     for got in outs:
@@ -482,29 +483,58 @@ def test_step_batch_out_and_window_give_the_fresh_bits(case, kind, variant):
             assert np.array_equal(w.view(np.int64), g.view(np.int64))
 
 
-@pytest.mark.parametrize("boundary, key, value", [
-    (Boundary.OUTFLOW, "out", "swapped"), (Boundary.OUTFLOW, "out", "shared"),
-    (Boundary.OUTFLOW, "out", "doubled"),
-    (Boundary.OUTFLOW, "out", "overlapping"), (Boundary.OUTFLOW, "out", "short"),
-    (Boundary.OUTFLOW, "window", (5, 5)), (Boundary.OUTFLOW, "window", (-1, 10)),
-    (Boundary.OUTFLOW, "window", (0, 17)), (Boundary.PERIODIC, "window", (6, 10)),
-], ids=["out-swapped", "out-shared", "out-doubled", "out-overlapping", "out-short", "window-empty",
-        "window-negative", "window-past-n", "window-on-periodic"])
-def test_step_batch_rejects_a_bad_out_or_window(boundary, key, value):
-    # only (rho, u) themselves may be written over, and a window is checked
-    # against 0 <= lo < hi <= n (all of the mesh when periodic)
+@pytest.mark.parametrize("boundary, case, window", [
+    (Boundary.OUTFLOW, "float32", None), (Boundary.OUTFLOW, "list", None),
+    (Boundary.OUTFLOW, "shared", None), (Boundary.OUTFLOW, "overlapping", None),
+    (Boundary.OUTFLOW, "read-only", None), (Boundary.OUTFLOW, "non-positive", None),
+    (Boundary.OUTFLOW, None, (5, 5)), (Boundary.OUTFLOW, None, (-1, 10)),
+    (Boundary.OUTFLOW, None, (0, 17)), (Boundary.PERIODIC, None, (6, 10)),
+], ids=["in-place-float32", "in-place-list", "in-place-shared", "in-place-overlapping",
+        "in-place-read-only", "in-place-non-positive", "window-empty", "window-negative",
+        "window-past-n", "window-on-periodic"])
+def test_step_batch_rejects_a_bad_in_place_or_window(boundary, case, window):
+    # in place takes only writeable float64 arrays that share no memory, and a
+    # window is checked against 0 <= lo < hi <= n (all of the mesh when
+    # periodic); a rejected step writes nothing
     mesh = Mesh(n=16, h=0.1, boundary=boundary)
     cfg = SchemeConfig(alpha=0.4, beta=0.3, alpha_s=1.0, c_ref=1.5)
     block, u = np.ones((2, 17)), np.zeros((2, 16))
     block[:, 7:9] = 1.2
     rho = block[:, :-1]
-    outs = {"swapped": (u, rho), "shared": (rho, rho), "short": (rho[:, :-1], u[:, :-1]),
-            "doubled": (np.empty_like(u),) * 2,
-            "overlapping": (block[:, 1:], np.empty_like(u))}   # all but one node of rho
-    before = rho.copy(), u.copy()
-    with pytest.raises(ValueError):
-        step_batch(rho, u, MODEL, cfg, mesh, 0.4, 0.01, **{key: outs.get(value, value)})
-    assert np.array_equal(rho, before[0]) and np.array_equal(u, before[1])
+    non_positive = rho.copy()
+    non_positive[1, 7] = 0.0
+    read_only = u.copy()
+    read_only.flags.writeable = False
+    args = {"float32": (rho.astype(np.float32), u), "list": (rho.tolist(), u), "shared": (rho, rho),
+            "overlapping": (rho, block[:, 1:]),              # all but one node of rho
+            "read-only": (rho, read_only),                   # u is written after rho
+            "non-positive": (non_positive, u), None: (rho, u)}[case]
+    before = [np.array(v) for v in args]
+    with pytest.raises(NonPositiveDensity if case == "non-positive" else ValueError):
+        step_batch(*args, MODEL, cfg, mesh, 0.4, 0.01, in_place=True, window=window)
+    assert all(np.array_equal(np.asarray(v), b) for v, b in zip(args, before))
+
+
+def test_step_batch_in_place_copies_no_row():
+    # in place on a warmed workspace and given its window, as in run_batch, a step
+    # of a 25 000-node Riemann row whose front spans some 500 nodes allocates
+    # less than one row
+    n = 25_000
+    mesh = Mesh(n=n, h=1.0 / n, boundary=Boundary.OUTFLOW)
+    cfg = SchemeConfig(alpha=0.4, beta=0.3, alpha_s=1.0, c_ref=1.5)
+    front = np.interp(np.arange(n), [n // 2 - 250, n // 2 + 250], [1.0, 0.0])[None]
+    rho, u = 0.1 + 0.9 * front, 0.1 * front
+    lo, hi = _window(rho, u)
+    assert 400 < hi - lo < 600
+    work = _Workspace()
+    step_batch(rho, u, MODEL, cfg, mesh, 0.4, 1e-6, work=work, in_place=True)
+    tracemalloc.start()
+    try:
+        step_batch(rho, u, MODEL, cfg, mesh, 0.4, 1e-6, work=work, in_place=True, window=(lo, hi))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * 8
 
 
 def test_enthalpy_anchor_r0_only_shifts_h():
