@@ -33,7 +33,7 @@ from .experiments import (
 from .gas import GasModel
 from .mesh import Boundary, Mesh
 from .regularization import SchemeConfig, SchemeKind, Variant
-from .schemes import run_simulation, step_batch
+from .schemes import _Workspace, run_simulation, step_batch
 from .spectral import (
     LinearizedParams,
     NormCheck,
@@ -422,9 +422,9 @@ def _verify_conservation() -> tuple[bool, str]:
     for kind in (SchemeKind.STANDARD, SchemeKind.ENTHALPY):
         cfg = SchemeConfig(alpha=0.5, beta=0.4, alpha_s=0.0, scheme=kind).resolve_c_ref(model, rho0)
         dt = cfg.time_step(mesh.h)
-        rho, u = rho0, u0
+        rho, u, work = rho0, u0, _Workspace()
         for _ in range(200):
-            rho, u = step_batch(rho, u, model, cfg, mesh, cfg.alpha, dt)
+            rho, u = step_batch(rho, u, model, cfg, mesh, cfg.alpha, dt, work=work)
         # written so that a NaN sum fails too
         if not abs(float(np.sum(rho)) - mass0) <= 1e-12 * abs(mass0):
             return False, f"mass drift for {kind.value}"

@@ -28,8 +28,8 @@ the samples with e0 >= 0, which is exact: where e0 < 0 the real form
 |H| = sqrt(fl(H*H)) never exceeds sqrt(fl(H^2) - E).
 
 Scans read one memoised, read-only wavenumber grid per sample count: its
-distinct half, in blocks of betas on buffers reused across columns, or the
-whole grid for the worst mode.  Norm checks step all rows as one batch.
+distinct half, with a few alphas stacked as rows and each beta a scalar, or
+the whole grid for the worst mode.  Norm checks step all rows as one batch.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ import numpy as np
 from .errors import InvalidKappa, ReportFailure
 from .regularization import Variant
 
-_BLOCK_SAMPLES = 32768  # samples per scan buffer: 16 betas of 2 049, 256 KB of float64
+_SCAN_ROWS = 6  # alphas per scan chunk: working rows of 6 x 2 049 float64, 96 KB each
 
 
 @dataclass(frozen=True)
@@ -127,42 +127,43 @@ def _gram_matrix(xi: float, params: LinearizedParams) -> np.ndarray:
     return g.conj().T @ g
 
 
-def _column(alpha: float, kappa: float, n_samples: int, stop: int):
-    """The beta-free c, d and s of one (alpha, kappa) column at j < stop."""
+def _columns(alphas, kappa: float, n_samples: int, stop: int):
+    """The beta-free c and d of the (alpha, kappa) columns, one row per alpha,
+    and s, at j < stop."""
     theta, s = (grid[:stop] for grid in _wavenumber_grid(n_samples))
-    return 2.0 * alpha * (1.0 + kappa) * theta, 2.0 * alpha * abs(kappa - 1.0) * theta, s
+    a = np.asarray(alphas, dtype=float)[:, None]
+    return 2.0 * a * (1.0 + kappa) * theta, 2.0 * a * abs(kappa - 1.0) * theta, s
 
 
-def _norms(betas, c, d, s2, h2, norm, scratch):
-    """H^2 into h2 and ||G||_2 into norm, one row per beta of the (rows, 1) betas."""
-    np.square(np.subtract(1.0, np.multiply(betas, c, out=h2), out=h2), out=h2)
-    np.sqrt(np.add(h2, np.multiply(betas * betas, s2, out=norm), out=norm), out=norm)
-    np.add(norm, np.multiply(betas, d, out=scratch), out=norm)
+def _norms(b: float, c, d, s2, h, h2, norm, scratch):
+    """For the scalar beta b: H into h, H^2 into h2 and ||G||_2 into norm."""
+    np.subtract(1.0, np.multiply(c, b, out=h), out=h)
+    np.sqrt(np.add(np.square(h, out=h2), np.multiply(s2, b * b, out=norm), out=norm), out=norm)
+    np.add(norm, np.multiply(d, b, out=scratch), out=norm)
 
 
-def _scan_peaks(alpha: float, betas: np.ndarray, kappa: float, n_samples: int, work):
+def _scan_peaks(alphas, betas, kappa: float, n_samples: int):
     """Maxima of the spectral radius and of the top Gram eigenvalue over
-    xi_j = 2*pi*j/n_samples, one of each per beta, on the distinct
+    xi_j = 2*pi*j/n_samples, as (alphas, betas) arrays, on the distinct
     j = 0..n_samples//2 (G(-xi) only flips the sign of w2, which neither form
-    sees), in blocks of as many betas as the three (rows, n_samples//2 + 1)
-    buffers `work` have rows.  Each row equals a one-row call bit for bit."""
-    c, d, s = _column(alpha, kappa, n_samples, work.shape[-1])
-    e0 = (d - s) * (d + s)
-    real = e0 >= 0.0  # never empty: e0 = 0 at xi = 0
-    c_real, root_real = c[real], np.sqrt(e0[real])
-    s2 = s * s
-    radius, norm_max = np.empty(len(betas)), np.empty(len(betas))
-    for i in range(0, len(betas), work.shape[1]):
-        b = betas[i:i + work.shape[1], None]
-        h2, norm, t = work[:, :len(b)]
-        _norms(b, c, d, s2, h2, norm, t)
-        norm.max(axis=-1, out=norm_max[i:i + len(b)])
-        np.subtract(h2, np.multiply(b * b, e0, out=t), out=t)
-        complex_case = np.sqrt(np.maximum(t.max(axis=-1), 0.0))
-        h, t = h2[:, :len(c_real)], t[:, :len(c_real)]
-        np.abs(np.subtract(1.0, np.multiply(b, c_real, out=h), out=h), out=h)
-        np.add(h, np.multiply(b, root_real, out=t), out=t)
-        np.maximum(t.max(axis=-1), complex_case, out=radius[i:i + len(b)])
+    sees).  Stacks the columns of _SCAN_ROWS alphas at a time and takes each
+    beta as a scalar; each entry equals a one-point call bit for bit."""
+    betas = np.asarray(betas, dtype=float).tolist()
+    radius, norm_max, complex_max = np.empty((3, len(alphas), len(betas)))
+    for i in range(0, len(alphas), _SCAN_ROWS):
+        c, d, s = _columns(alphas[i:i + _SCAN_ROWS], kappa, n_samples, n_samples // 2 + 1)
+        s2, e0 = np.tile(s * s, (len(c), 1)), (d - s) * (d + s)  # stacked s2: a broadcast row is 2x slower
+        root = np.sqrt(e0, out=np.full_like(e0, -np.inf), where=e0 >= 0.0)  # -inf drops out of max
+        h, h2, norm, t = np.empty((4, *c.shape))
+        rows = slice(i, i + len(c))
+        for j, b in enumerate(betas):
+            _norms(b, c, d, s2, h, h2, norm, t)
+            norm.max(axis=-1, out=norm_max[rows, j])
+            np.subtract(h2, np.multiply(e0, b * b, out=t), out=t)
+            t.max(axis=-1, out=complex_max[rows, j])
+            np.add(np.abs(h, out=h), np.multiply(root, b, out=t), out=t)
+            t.max(axis=-1, out=radius[rows, j])
+    np.maximum(radius, np.sqrt(np.maximum(complex_max, 0.0)), out=radius)
     return radius, norm_max ** 2
 
 
@@ -180,9 +181,8 @@ def spectral_radius_scan(params: LinearizedParams, n_samples: int = 4096) -> Spe
         raise ValueError("n_samples must be an integer")
     if n_samples < 64:
         raise ValueError("n_samples must be >= 64")
-    radius, gram = _scan_peaks(params.alpha, np.array([params.beta]), params.kappa, n_samples,
-                               np.empty((3, 1, n_samples // 2 + 1)))
-    return SpectrumScan(max_radius=float(radius[0]), max_gram=float(gram[0]))
+    radius, gram = _scan_peaks([params.alpha], [params.beta], params.kappa, n_samples)
+    return SpectrumScan(max_radius=float(radius[0, 0]), max_gram=float(gram[0, 0]))
 
 
 # ---------------------------------------------------------------------------
@@ -295,15 +295,15 @@ def oracle_mismatches() -> tuple[int, list[str]]:
     betas = np.round(np.arange(1, 33) * 0.05, 10)
     cases = [(k, Variant.FULL_QGD) for k in (1.0, 7.0 / 3.0, 4.0)]
     cases += [(k, Variant.SIMPLIFIED_QHD) for k in (0.0, 0.5, 1.0, 2.0)]
-    work = np.empty((3, _BLOCK_SAMPLES // 2049, 2049))  # 2 049 distinct of 4 096 samples
+    kappas = dict.fromkeys(kappa for kappa, _ in cases)  # the symbol does not read the variant
+    peaks = {kappa: _scan_peaks(alphas, betas, kappa, 4096) for kappa in kappas}
     mismatches = []
     for kappa, variant in cases:
-        for alpha in alphas:
+        for alpha, *alpha_peaks in zip(alphas, *peaks[kappa]):
             thresholds = (necessary_beta_max(float(alpha), kappa, variant),
                           max_stable_beta(float(alpha), kappa, variant))
-            peaks = _scan_peaks(float(alpha), betas, kappa, 4096, work)
             bad = [(np.abs(betas - threshold) > 1e-6) & ((betas <= threshold) != (peak <= 1.0 + 1e-10))
-                   for threshold, peak in zip(thresholds, peaks)]
+                   for threshold, peak in zip(thresholds, alpha_peaks)]
             for i, which in zip(*np.nonzero(np.transpose(bad))):  # by beta, then by name
                 mismatches.append(f"{('necessary', 'criterion')[which]} mismatch at alpha={alpha} "
                                   f"beta={betas[i]} kappa={kappa} {variant.value}")
@@ -334,9 +334,9 @@ def _row_norms(rho, u) -> np.ndarray:
 def _worst_mode_data(params: LinearizedParams, n: int):
     """Fourier mode (on the n-point mesh) maximizing the Gram eigenvalue,
     seeded with the corresponding top eigenvector."""
-    c, d, s = _column(params.alpha, params.kappa, n, n)
-    h2, norm, scratch = np.empty((3, 1, n))
-    _norms(np.array([[params.beta]]), c, d, s * s, h2, norm, scratch)
+    c, d, s = _columns([params.alpha], params.kappa, n, n)
+    h, h2, norm, scratch = np.empty((4, 1, n))
+    _norms(params.beta, c, d, s * s, h, h2, norm, scratch)
     xi_star = 2.0 * np.pi * int(np.argmax(norm)) / n
     eigvals, eigvecs = np.linalg.eigh(_gram_matrix(xi_star, params))
     top = eigvecs[:, int(np.argmax(eigvals))]

@@ -460,7 +460,7 @@ class TestVerify:
         # a NaN sum must fail the check, not slip through a comparison
         from qgd1d import cli
 
-        monkeypatch.setattr(cli, "step_batch", lambda rho, u, *args: blow_up(rho, u))
+        monkeypatch.setattr(cli, "step_batch", lambda rho, u, *args, **kwargs: blow_up(rho, u))
         assert main(["verify"]) == 1
         out = capsys.readouterr().out
         assert f"suite discrete-conservation   : FAIL  ({detail})" in out

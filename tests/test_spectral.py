@@ -174,10 +174,28 @@ def _reference_spectra(params, n_samples):
 
 def _reference_scan(params, n_samples, distinct_only=False):
     """The scan's maxima from _reference_spectra, over the full circle or over
-    its distinct half j = 0..n_samples//2."""
+    its distinct half j = 0..n_samples//2.  The Gram maximum is the norm
+    maximum times itself, correctly rounded: a scalar ** 2 goes through pow(),
+    which can miss by an ulp near a halfway case."""
     stop = n_samples // 2 + 1 if distinct_only else n_samples
     radius, norm = (v[:stop] for v in _reference_spectra(params, n_samples))
-    return float(radius.max()), float(norm.max() ** 2)
+    return float(radius.max()), float(norm.max() * norm.max())
+
+
+class _NanEmptyNumpy:
+    """numpy whose empty() and empty_like() fill with NaN, so that a scan
+    entry or a buffer value read before it is written shows in the result."""
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    @staticmethod
+    def empty(shape, dtype=float):
+        return np.full(shape, np.nan, dtype)
+
+    @staticmethod
+    def empty_like(a, dtype=None):
+        return np.full_like(a, np.nan, dtype)
 
 
 @st.composite
@@ -230,21 +248,50 @@ class TestScan:
         scan = spectral_radius_scan(LinearizedParams(1.5, 1.45, 1.0))
         assert scan.max_radius == pytest.approx(7.7, rel=1e-15, abs=0.0)
 
-    def test_block_rows_equal_one_row_scans(self):
-        # one set of buffers serves every column; the columns differ in how
-        # many samples have e0 >= 0, so a stale value would show in a row
-        alpha = 0.35
+    def test_block_rows_equal_one_row_scans(self, monkeypatch):
+        # the columns differ in how many samples have e0 >= 0 (kappa = 1 only
+        # xi = 0, kappa = 4 at large alpha most), so a stale row would show
+        alphas = [0.35, 1.45, 0.05, 0.9, 1.2]
         betas = np.round(np.arange(1, 8) * 0.15, 10)
         columns = [(7.0 / 3.0, QGD), (0.5, QHD), (1.0, QGD), (4.0, QGD), (0.0, QHD)]
-        expect = {col: [spectral_radius_scan(LinearizedParams(alpha, float(b), *col), 512)
-                        for b in betas] for col in columns}
-        for per_block in range(1, len(betas) + 1):  # short last blocks included
-            work = np.full((3, per_block, 512 // 2 + 1), np.nan)
+        expect = {col: [[spectral_radius_scan(LinearizedParams(alpha, float(b), *col), 512)
+                         for b in betas] for alpha in alphas] for col in columns}
+        monkeypatch.setattr(spectral, "np", _NanEmptyNumpy())
+        for rows in range(1, len(alphas) + 1):  # short last chunks included
+            monkeypatch.setattr(spectral, "_SCAN_ROWS", rows)
             for kappa, variant in columns:
-                radii, grams = spectral._scan_peaks(alpha, betas, kappa, 512, work)
-                rows = expect[kappa, variant]
-                assert radii.tolist() == [s.max_radius for s in rows]
-                assert grams.tolist() == [s.max_gram for s in rows]
+                radii, grams = spectral._scan_peaks(alphas, betas, kappa, 512)
+                scans = expect[kappa, variant]
+                assert radii.tolist() == [[s.max_radius for s in row] for row in scans]
+                assert grams.tolist() == [[s.max_gram for s in row] for row in scans]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(_linearized_params(), min_size=1, max_size=8),
+           st.sampled_from([64, 101, 512, 4096]))
+    @example([LinearizedParams(0.267578125, 0.018000000000000002, 0.0, QHD)], 64)  # pow() misses here
+    def test_stacked_scan_equals_per_call_reference(self, points, n_samples):
+        # the first point's kappa and variant, every point's alpha and beta
+        kappa, variant = points[0].kappa, points[0].variant
+        alphas, betas = [p.alpha for p in points], [p.beta for p in points[::-1]]
+        radii, grams = spectral._scan_peaks(alphas, betas, kappa, n_samples)
+        for i, alpha in enumerate(alphas):
+            for j, beta in enumerate(betas):
+                params = LinearizedParams(alpha, beta, kappa, variant)
+                assert (radii[i, j], grams[i, j]) == _reference_scan(params, n_samples, distinct_only=True)
+
+    def test_oracle_scans_each_kappa_once(self, monkeypatch):
+        calls = []
+
+        def scan(alphas, betas, kappa, n_samples, scan_peaks=spectral._scan_peaks):
+            calls.append((kappa, list(alphas)))
+            return scan_peaks(alphas, betas, kappa, n_samples)
+
+        monkeypatch.setattr(spectral, "_scan_peaks", scan)
+        checked, _ = spectral.oracle_mismatches()
+        assert checked == 6720
+        alphas = np.round(np.arange(1, 31) * 0.05, 10).tolist()
+        assert sorted(kappa for kappa, _ in calls) == [0.0, 0.5, 1.0, 2.0, 7.0 / 3.0, 4.0]
+        assert all(scanned == alphas for _, scanned in calls)
 
     def test_oracle_mismatches_equal_scalar_loop(self, monkeypatch):
         # thresholds raised by 20 % make both conditions disagree with the scan
