@@ -130,29 +130,22 @@ class ClassifyThresholds:
                    rho_floor=floor_factor * lo, rho_ceil=ceil_factor * hi)
 
 
-def _total_variation(v: np.ndarray, diffs: np.ndarray) -> float:
-    """sum(|diff(v)|) of a 1-D v, its bits too, with the differences in diffs."""
-    return float(np.add.reduce(np.abs(np.subtract(v[1:], v[:-1], out=diffs), out=diffs)))
-
-
 def classify_run(traj: Trajectory, thresholds: ClassifyThresholds) -> RunVerdict:
     """Classify a finished trajectory.
 
     Overflow wins outright.  Otherwise the oscillation score is the largest
-    TV(rho)/TV0(rho) over the snapshots (defined as 0 while the state stays
-    flat).  The density corridor is checked against the per-step min_rho
-    and max_rho diagnostics, which cover every state.
+    TV(rho)/TV0(rho) over the trajectory's TV record, one per snapshot state
+    (defined as 0 while the state stays flat).  The density corridor is
+    checked against the per-step min_rho and max_rho diagnostics, which
+    cover every state.
     """
-    if not traj.snapshots:
-        raise EmptyTrajectory("trajectory has no snapshots")
+    if not len(traj.tv):
+        raise EmptyTrajectory("trajectory has no TV record")
     if traj.overflow:
         return RunVerdict(Classification.OVERFLOW, math.inf, completed=False)
 
-    diffs = np.empty(traj.snapshots[0][1].rho.size - 1)
-    tv0 = _total_variation(traj.snapshots[0][1].rho, diffs)
-    score = 0.0
-    for _, state in traj.snapshots:
-        tv = _total_variation(state.rho, diffs)
+    tv0, score = float(traj.tv[0]), 0.0
+    for tv in traj.tv.tolist():
         if tv0 > 0.0:
             score = max(score, tv / tv0)
         elif tv > 1e-12:
@@ -195,12 +188,13 @@ class RegionMap:
 
 
 def _run_cell(args) -> list[tuple[int, int, RunVerdict]]:
-    """Advance one shard of sweep cells as a single batch; each row is
-    classified, and its trajectory dropped, as it leaves the batch."""
+    """Advance one shard of sweep cells as a single verdict-only batch; each
+    row is classified, and its trajectory dropped, as it leaves the batch."""
     (cells, setup, model, base_cfg, thresholds, record_every) = args
     initial = riemann_initial(setup, setup.mesh(Boundary.OUTFLOW))
     _, _, alphas, betas = zip(*cells)
-    runs = run_batch(initial, model, base_cfg, alphas, betas, setup.t_end, record_every)
+    runs = run_batch(initial, model, base_cfg, alphas, betas, setup.t_end, record_every,
+                     verdict_only=True)
     verdicts = []
     for r, traj in runs:
         i, j, _, _ = cells[r]
@@ -216,8 +210,10 @@ def sweep_region(setup: RiemannSetup, model: GasModel, base_cfg: SchemeConfig,
 
     base_cfg fixes the scheme kind, regularization variant, alpha_s and
     c_ref; alpha and beta are taken from the grids.  The cells are dealt
-    round-robin into `workers` shards and each shard advances as one batch
-    (run_batch); with workers > 1 each shard runs in its own pool process.
+    into `workers` shards by cost, in ascending beta (a cell takes about
+    t_end*c_ref/(beta*h) steps) and back and forth (0, 1, 1, 0, ...), and each
+    shard advances as one batch (run_batch); with workers > 1 each shard runs
+    in its own pool process.
     Rows are independent and verdicts are written back by cell index, so
     the result does not depend on the worker count.
     """
@@ -237,8 +233,11 @@ def sweep_region(setup: RiemannSetup, model: GasModel, base_cfg: SchemeConfig,
     cells = [(i, j, float(alphas[i]), float(b)) for (i, j), b in np.ndenumerate(actual)]
 
     n_shards = max(1, min(workers, len(cells)))
-    shards = [(cells[k::n_shards], setup, model, base_cfg, thresholds, record_every)
-              for k in range(n_shards)]
+    lane = np.arange(len(cells)) % (2 * n_shards)
+    shard_of = np.minimum(lane, 2 * n_shards - 1 - lane)
+    order = np.argsort(actual, axis=None, kind="stable")
+    shards = [([cells[c] for c in order[shard_of == k]], setup, model, base_cfg, thresholds,
+               record_every) for k in range(n_shards)]
     if n_shards > 1:
         from concurrent.futures import ProcessPoolExecutor  # imported late: loads multiprocessing
         with ProcessPoolExecutor(max_workers=n_shards) as pool:

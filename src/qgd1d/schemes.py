@@ -53,10 +53,13 @@ of rows), therefore steps only a window: the nodes between the uniform runs at
 both ends of every row and one node of each run, whose new bits it writes over
 the runs where they change.  It compares bits, since values would join -0.0
 and 0.0.  A periodic wrap joins the two runs, so there it steps every node.
+The kernel's temporaries are flat runs of their rows at a pitch of w + 2 (see
+`_Workspace`), so that each pass is one 1-D ufunc call.
 `run_batch` (whose one-row case is `run_simulation`) steps in place on one
-`_Workspace`, carrying the window from step to step; only the mass and momentum
-sums of its per-step diagnostics read whole rows, and overflow is found from
-these: min_rho > 0, max_rho < inf, finite max_abs_u.
+`_Workspace`, carrying the window from step to step.  Whole rows are read only
+by the mass and momentum sums of its per-step diagnostics, which a verdict-only
+run skips, and by the TV(rho) of the states it records; overflow is found from
+the diagnostics: min_rho > 0, max_rho < inf, finite max_abs_u.
 """
 
 from __future__ import annotations
@@ -81,53 +84,60 @@ def _pad(v: np.ndarray, boundary: Boundary, out: np.ndarray) -> np.ndarray:
 
 
 def _avg(v: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """s on padded node arrays, node_avg on half-mesh arrays, into out."""
-    return np.multiply(np.add(v[..., :-1], v[..., 1:], out=out), 0.5, out=out)
+    """s on padded node arrays, node_avg on half-mesh arrays, into out[:-1]."""
+    o = out[:-1]
+    np.multiply(np.add(v[:-1], v[1:], out=o), 0.5, out=o)
+    return out
 
 
 def _diff(v: np.ndarray, h: float, out: np.ndarray) -> np.ndarray:
-    """diff on padded node arrays, node_diff on half-mesh arrays, into out."""
-    return np.divide(np.subtract(v[..., 1:], v[..., :-1], out=out), h, out=out)
+    """diff on padded node arrays, node_diff on half-mesh arrays, into out[:-1]."""
+    o = out[:-1]
+    np.divide(np.subtract(v[1:], v[:-1], out=o), h, out=o)
+    return out
 
 
 class _Workspace:
-    """Kernel temporaries for node arrays (..., w): 5 padded (w + 2), 12 half-mesh
-    (w + 1) and 2 node arrays, contiguous views into one block per group that
-    grows (at least doubling) as needed; the kernel writes each before reading.
-    The views of the last shape asked for are kept."""
+    """Kernel temporaries for node arrays (..., w): 5 padded, 12 half-mesh and 2 node
+    arrays, each a flat run of its rows at a pitch of w + 2 (value k of row r at
+    r*(w + 2) + k) in one zeroed block that grows (at least doubling) as needed.
+    Entries past a row's values, and each run's last, are never read into a
+    result.  The views of the last shape asked for are kept."""
 
     def __init__(self):
-        self._buffers, self._shape, self._views = [np.empty(0)] * 3, None, []
+        self._block, self._shape, self._views = np.zeros(0), None, []
 
-    def views(self, shape: tuple[int, ...]) -> list[np.ndarray]:
-        """The padded, half-mesh and node buffers for node arrays of shape."""
+    def views(self, shape: tuple[int, ...]) -> tuple:
+        """The padded, half-mesh and node runs for node arrays of shape, and all
+        19 runs as one (19, ..., w + 2) array of their rows."""
         if shape != self._shape:
             *lead, w = shape
-            shapes = [(k, *lead, w + g) for k, g in ((5, 2), (12, 1), (2, 0))]
-            self._buffers = [b if b.size >= math.prod(s) else np.empty(max(math.prod(s), 2 * b.size))
-                             for b, s in zip(self._buffers, shapes)]
-            self._shape = shape
-            self._views = [b[:math.prod(s)].reshape(s) for b, s in zip(self._buffers, shapes)]
+            size = math.prod(lead) * (w + 2)
+            if self._block.size < 19 * size:
+                self._block = np.zeros(max(19 * size, 2 * self._block.size))
+            grid = self._block[:19 * size].reshape(19, *lead, w + 2)
+            runs = list(grid.reshape(19, size))
+            self._shape, self._views = shape, (runs[:5], runs[5:17], runs[17:], grid)
         return self._views
 
 
 def _half_mesh(rho: np.ndarray, u: np.ndarray, model: GasModel, cfg: SchemeConfig,
-               mesh: Mesh, alpha, padded, half):
+               mesh: Mesh, alpha, views):
     """Half-mesh terms of cfg.scheme along the last axis of rho and u, by the
-    flux formulas of the module docstring, in the padded and half-mesh
-    buffers of a _Workspace; rho must be positive.  Each product and sum
+    flux formulas of the module docstring, in the padded and half-mesh runs
+    of _Workspace.views; rho must be positive.  Each product and sum
     keeps the operand grouping of those formulas (operands of one product
     or sum may swap), so results do not depend on the buffers.
 
-    Returns (j, pi, (s rho) w, (s rho) w_hat, s rho, s u, extra), where extra
-    is what the momentum update adds beyond the fluxes: p(s rho) for the
-    standard scheme and diff(h(rho)) for the enthalpy scheme.
+    Returns the flat runs (j, pi, (s rho) w, (s rho) w_hat, s rho, s u, extra),
+    where extra is what the momentum update adds beyond the fluxes: p(s rho) for
+    the standard scheme and diff(h(rho)) for the enthalpy scheme.
     """
-    h = mesh.h
+    h, (padded, half, _, grid) = mesh.h, views
     rho_p, u_p, q, tau, hp = padded
     srho, su, du, stau, pp_half, pi, j, srho_what, srho_w, x, y, dq = half
-    _pad(rho, mesh.boundary, rho_p)
-    _pad(u, mesh.boundary, u_p)
+    _pad(rho, mesh.boundary, grid[0])
+    _pad(u, mesh.boundary, grid[1])
     _avg(rho_p, srho)
     _avg(u_p, su)
     _diff(u_p, h, du)
@@ -138,7 +148,7 @@ def _half_mesh(rho: np.ndarray, u: np.ndarray, model: GasModel, cfg: SchemeConfi
         model._evaluate(rho_p, p=q, dp=tau)
     else:
         model._evaluate(rho_p, dp=tau, h=q, hp=hp if full else None)
-    np.divide(alpha * h, np.sqrt(tau, out=tau), out=tau)
+    np.divide(alpha * h, np.sqrt(grid[3], out=grid[3]), out=grid[3])   # alpha (rows, 1) or scalar
     _avg(tau, stau)
     model._evaluate(srho, p=y if standard else None, dp=pp_half)
     np.multiply(stau, cfg.alpha_s, out=pi)       # mu_half, then pi
@@ -174,23 +184,25 @@ def _update(rho: np.ndarray, u: np.ndarray, model: GasModel, cfg: SchemeConfig, 
             alpha, dt, work: _Workspace) -> None:
     """The update of the module docstring, ghosts at rho's and u's own ends, written
     over rho and u: past _pad the old state is read only through its padded copies."""
-    padded, half, (a, b) = work.views(rho.shape)
+    padded, _, (a, b), grid = views = work.views(rho.shape)
+    w, rho_p, a2, b2 = rho.shape[-1], grid[0], grid[17], grid[18]    # the runs as rows
     with np.errstate(all="ignore"):
-        j, pi, _, _, srho, su, extra = _half_mesh(rho, u, model, cfg, mesh, alpha, padded, half)
-        h, rho_old, u_old = mesh.h, padded[0][..., 1:-1], padded[1][..., 1:-1]
-        np.subtract(rho_old, np.multiply(_diff(j, h, a), dt, out=a), out=rho)
+        j, pi, _, _, srho, su, extra = _half_mesh(rho, u, model, cfg, mesh, alpha, views)
+        _diff(j, mesh.h, a)
+        a2 *= dt
+        np.subtract(rho_p[..., 1:-1], a2[..., :w], out=rho)
         j *= su                                  # the momentum flux; j is not read again
         if cfg.scheme is SchemeKind.STANDARD:
             j += extra
         j -= pi
-        _diff(j, h, b)
+        _diff(j, mesh.h, b)
         if cfg.scheme is SchemeKind.ENTHALPY:
             extra *= srho
             b += _avg(extra, a)
-        b *= dt
-        np.multiply(rho_old, u_old, out=a)
+        b2 *= dt
+        np.multiply(padded[0][1:-1], padded[1][1:-1], out=a[:-2])   # rho u at the nodes
         a -= b
-        np.divide(a, rho, out=u)
+        np.divide(a2[..., :w], rho, out=u)
 
 
 def _window(rho: np.ndarray, u: np.ndarray, a: int = 0, b: int | None = None) -> tuple[int, int]:
@@ -260,11 +272,12 @@ def step_batch(rho: np.ndarray, u: np.ndarray, model: GasModel, cfg: SchemeConfi
 
 @dataclass
 class Diagnostics:
-    """Per-step scalar records, initial state included (length = steps + 1)."""
+    """Per-step scalar records, initial state included (length = steps + 1).
+    A verdict-only run (see run_batch) takes no mass or momentum: they are None."""
 
     t: np.ndarray
-    mass: np.ndarray
-    momentum: np.ndarray
+    mass: np.ndarray | None
+    momentum: np.ndarray | None
     min_rho: np.ndarray
     max_abs_u: np.ndarray
     max_rho: np.ndarray
@@ -272,24 +285,34 @@ class Diagnostics:
 
 @dataclass
 class Trajectory:
-    """Snapshots plus per-step diagnostics of one simulation run."""
+    """Snapshots plus per-step diagnostics of one simulation run, and the TV(rho)
+    of each snapshot state.  A verdict-only run (see run_batch) keeps no
+    snapshots: they are None."""
 
-    snapshots: list[tuple[float, MeshState]]
+    snapshots: list[tuple[float, MeshState]] | None
     diagnostics: Diagnostics
     overflow: bool
     steps: int
+    tv: np.ndarray
     note: str = ""
 
 
 def _diagnostics(t: np.ndarray, rho: np.ndarray, u: np.ndarray, h: float, nodes: slice,
-                 out: np.ndarray, rho_u: np.ndarray) -> np.ndarray:
-    """The Diagnostics columns per row, into out (rows, 6), using rho_u for rho*u
-    and |u|; the extrema are over the nodes, which must hold all values of the rows."""
+                 out: np.ndarray, rho_u: np.ndarray, sums: bool, diffs=None) -> np.ndarray:
+    """The Diagnostics columns per row, into out (rows, 7), using rho_u for rho*u
+    and |u|; the extrema are over the nodes, which must hold all values of the rows.
+    The mass and momentum sums are taken only with sums; with diffs to hold the
+    differences, each row's TV(rho) goes into out[:, 6], with the bits of
+    np.sum(np.abs(np.diff(row)))."""
     out[:, 0] = t
     with np.errstate(all="ignore"):
-        np.add.reduce(rho, axis=-1, out=out[:, 1])
-        np.add.reduce(np.multiply(rho, u, out=rho_u), axis=-1, out=out[:, 2])
-        out[:, 1:3] *= h
+        if diffs is not None:
+            np.abs(np.subtract(rho[:, 1:], rho[:, :-1], out=diffs), out=diffs)
+            np.add.reduce(diffs, axis=-1, out=out[:, 6])
+        if sums:
+            np.add.reduce(rho, axis=-1, out=out[:, 1])
+            np.add.reduce(np.multiply(rho, u, out=rho_u), axis=-1, out=out[:, 2])
+            out[:, 1:3] *= h
         np.minimum.reduce(rho[:, nodes], axis=-1, out=out[:, 3])
         np.maximum.reduce(np.abs(u[:, nodes], out=rho_u[:, nodes]), axis=-1, out=out[:, 4])
         np.maximum.reduce(rho[:, nodes], axis=-1, out=out[:, 5])
@@ -300,7 +323,8 @@ _RECORD_STEPS = 64     # first length of run_batch's per-step record, which doub
 
 
 def run_batch(initial: MeshState, model: GasModel, cfg: SchemeConfig, alphas, betas,
-              t_end: float, record_every: int = 1) -> Iterator[tuple[int, Trajectory]]:
+              t_end: float, record_every: int = 1, *,
+              verdict_only: bool = False) -> Iterator[tuple[int, Trajectory]]:
     """Advance one copy of `initial` per (alpha, beta) pair to t_end as one batch.
 
     cfg fixes the scheme, variant, alpha_s and c_ref (resolved from the
@@ -308,8 +332,9 @@ def run_batch(initial: MeshState, model: GasModel, cfg: SchemeConfig, alphas, be
     betas[r]*h/c_ref.  Yields (r, Trajectory) as each row leaves the batch:
     the step after it reaches t_end, its last step clipped to land there, or
     at the step that overflows it.  Trajectories are those run_simulation
-    gives for the same parameters.  A t_end or a time step that is not
-    finite and > 0 raises ConfigError, since the run could not end.
+    gives for the same parameters, but with verdict_only their snapshots,
+    mass and momentum are None and never computed.  A t_end or a time step
+    that is not finite and > 0 raises ConfigError, since the run could not end.
     """
     if not 0.0 < t_end < np.inf:
         raise ConfigError("t_end must be finite and > 0")
@@ -327,16 +352,16 @@ def run_batch(initial: MeshState, model: GasModel, cfg: SchemeConfig, alphas, be
     alphas = alphas[:, None]
 
     # the arrays of the rows still running, compacted together as rows leave;
-    # rec[r, k] is row r's Diagnostics row after k steps
+    # rec[r, k] is row r's Diagnostics row after k steps, then its TV if it is recorded
     live = np.arange(alphas.shape[0])
     rho = np.tile(initial.rho, (live.size, 1))
     u = np.tile(initial.u, (live.size, 1))
     t = np.full(live.size, initial.t)
-    work, record, rho_u = _Workspace(), np.empty((live.size, 6)), np.empty_like(rho)
-    rec = np.empty((live.size, _RECORD_STEPS, 6))
-    rec[:, 0] = d = _diagnostics(t, rho, u, mesh.h, slice(None), record, rho_u)
-    snapshots = [[(initial.t, initial)] for _ in live]
-    steps, window = 0, (0, mesh.n)
+    work, rho_u, diffs = _Workspace(), np.empty_like(rho), np.empty_like(rho[:, 1:])
+    record, rec = np.empty((live.size, 7)), np.empty((live.size, _RECORD_STEPS, 7))
+    snapshots = None if verdict_only else [[(initial.t, initial)] for _ in live]
+    steps, window, sums = 0, (0, mesh.n), not verdict_only
+    rec[:, 0] = d = _diagnostics(t, rho, u, mesh.h, slice(None), record, rho_u, sums, diffs)
     t_stop = t_end - 1e-12 * max(1.0, abs(t_end))
     ok, keep = np.ones(live.size, dtype=bool), t < t_stop
 
@@ -345,13 +370,17 @@ def run_batch(initial: MeshState, model: GasModel, cfg: SchemeConfig, alphas, be
         tk = float(t[k])
         note = "" if not overflow else (f"density became non-positive at t={tk}" if d[k, 3] <= 0.0
                                         else f"non-finite value at t={tk}")
-        if not overflow and snapshots[r][-1][0] < tk:
-            snapshots[r].append((tk, MeshState(mesh, rho[k], u[k], tk)))
         done = steps - overflow                  # an overflow's last step is not counted
-        diagnostics = Diagnostics(*rec[r, :done + 1].T)      # views of row r's record
-        traj = Trajectory(snapshots[r], diagnostics, overflow=overflow, steps=done, note=note)
-        snapshots[r] = None
-        return r, traj
+        final = not overflow and done % record_every != 0    # the end state, past the last snapshot
+        *columns, tv = rec[r, :done + 1].T       # views of row r's record
+        if verdict_only:
+            states, columns[1:3] = None, (None, None)
+        else:
+            states, snapshots[r] = snapshots[r], None
+            if final:
+                states.append((tk, MeshState(mesh, rho[k], u[k], tk)))
+        return r, Trajectory(states, Diagnostics(*columns), overflow=overflow, steps=done,
+                             tv=np.append(tv[::record_every], tv[done:done + final]), note=note)
 
     while True:
         if not keep.all():
@@ -368,19 +397,21 @@ def run_batch(initial: MeshState, model: GasModel, cfg: SchemeConfig, alphas, be
         t += step_dt
         steps += 1
         if steps == rec.shape[1]:                # full: double it for the running rows
-            grown = np.empty((rec.shape[0], 2 * steps, 6))
+            grown = np.empty((rec.shape[0], 2 * steps, 7))
             for r in live:
                 grown[r, :steps] = rec[r]
             rec = grown
-        d = _diagnostics(t, rho, u, mesh.h, slice(*window), record[:live.size], rho_u[:live.size])
+        running, snap = t < t_stop, steps % record_every == 0   # TV: a snapshot is due, or an end
+        d = _diagnostics(t, rho, u, mesh.h, slice(*window), record[:live.size], rho_u[:live.size],
+                         sums, diffs[:live.size] if snap or not running.all() else None)
         rec[live, steps] = d
         # every density positive and every value finite; NaN fails min_rho > 0
         ok = (d[:, 3] > 0.0) & (d[:, 5] < np.inf) & np.isfinite(d[:, 4])
-        if steps % record_every == 0:
+        if snap and not verdict_only:
             for k in np.flatnonzero(ok):
                 tk = float(t[k])
                 snapshots[live[k]].append((tk, MeshState(mesh, rho[k], u[k], tk)))
-        keep = ok & (t < t_stop)
+        keep = ok & running
 
 
 def run_simulation(initial: MeshState, model: GasModel, cfg: SchemeConfig,

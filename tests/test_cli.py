@@ -433,11 +433,14 @@ class TestSweep:
                              r.monotone, r.transition, r.gap_to_criterion,
                              r.gap_to_necessary, r.gap_to_sufficient) for r in rows])
 
-    def test_demo_sweep_region_is_byte_identical_to_the_reference(self, tmp_path):
-        # the demo sweep's region.csv, full-precision scores included, must not move
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_demo_sweep_region_is_byte_identical_to_the_reference(self, tmp_path, workers):
+        # the demo sweep's region.csv, full-precision scores included, must not
+        # move, in process and in the benchmark's 2-worker pool
         reference = json.loads((ROOT / "perfbench" / "references.json").read_text(
             encoding="utf-8"))["sweep-demo"]["full"]
-        assert main(["sweep", str(DEMO_CONFIG), "sweep.workers=1", "--out", str(tmp_path)]) == 0
+        assert main(["sweep", str(DEMO_CONFIG), f"sweep.workers={workers}",
+                     "--out", str(tmp_path)]) == 0
         region = (tmp_path / "region.csv").read_bytes()
         assert hashlib.md5(region).hexdigest() == reference["region_md5"]
         with open(tmp_path / "region.csv", newline="", encoding="utf-8") as f:

@@ -29,7 +29,7 @@ from qgd1d import (
     sweep_region,
 )
 from qgd1d import experiments, output, schemes
-from qgd1d.experiments import _total_variation
+from qgd1d.schemes import _diagnostics
 from qgd1d.schemes import Diagnostics, Trajectory
 
 
@@ -144,21 +144,22 @@ class TestClassify:
 
     def test_empty_trajectory_rejected(self):
         empty = Trajectory(snapshots=[], diagnostics=Diagnostics(*(np.zeros(0),) * 6),
-                           overflow=False, steps=0)
+                           overflow=False, steps=0, tv=np.zeros(0))
         with pytest.raises(EmptyTrajectory):
             classify_run(empty, ClassifyThresholds())
 
     @staticmethod
     def _hand_made(profiles, min_rho, max_rho):
-        """A completed trajectory with one snapshot per density profile and
-        the given per-step minimum and maximum densities."""
+        """A completed trajectory with one snapshot per density profile, their
+        TV record and the given per-step minimum and maximum densities."""
         mesh = Mesh(n=len(profiles[0]), h=0.1, boundary=Boundary.OUTFLOW)
         snapshots = [(0.1 * k, MeshState(mesh, rho, np.zeros(mesh.n), 0.1 * k))
                      for k, rho in enumerate(profiles)]
+        tv = np.array([np.sum(np.abs(np.diff(state.rho))) for _, state in snapshots])
         t = np.linspace(0.0, 0.1 * (len(profiles) - 1), len(min_rho))
         diagnostics = Diagnostics(t, np.ones_like(t), np.zeros_like(t), np.asarray(min_rho),
                                   np.zeros_like(t), np.asarray(max_rho))
-        return Trajectory(snapshots, diagnostics, overflow=False, steps=len(min_rho) - 1)
+        return Trajectory(snapshots, diagnostics, overflow=False, steps=len(min_rho) - 1, tv=tv)
 
     def test_floor_dip_between_snapshots_is_non_conservative(self):
         # every snapshot stays above the floor; only the per-step record dips
@@ -191,16 +192,23 @@ class TestClassify:
         assert verdict.oscillation_score == math.inf
         assert verdict.classification is Classification.NON_CONSERVATIVE
 
-    @pytest.mark.parametrize("n", [3, 249, 25_000])
+    @pytest.mark.parametrize("n", [3, 249, 8192, 8194, 25_000])
     def test_total_variation_has_the_bits_of_sum_abs_diff(self, n):
-        # subnormal to large magnitudes, and -0.0 after 0.0 (a -0.0 difference)
+        # subnormal to large magnitudes, and -0.0 after 0.0 (a -0.0 difference),
+        # as the rows of a batch and of the first rows of its buffers, as when
+        # rows have left it; 8 192 is numpy's buffer size
         rng = np.random.default_rng(n)
         v = rng.standard_normal(n) * 10.0 ** rng.integers(-320, 300, n)
         v[:3] = 0.0, -0.0, 5e-324
         v[n // 2:n // 2 + 2] = 0.0, -0.0
-        diffs = np.empty(n - 1)
-        for w in (v, v[::-1].copy(), np.abs(v)):
-            assert _total_variation(w, diffs).hex() == float(np.sum(np.abs(np.diff(w)))).hex()
+        rows = np.stack((v, v[::-1], np.abs(v)))
+        diffs, out, rho_u = np.empty((4, n - 1)), np.empty((4, 7)), np.empty((4, n))
+        for batch in (rows, rows[1:]):
+            k = len(batch)
+            d = _diagnostics(np.zeros(k), batch, batch, 1.0, slice(None), out[:k], rho_u[:k],
+                             False, diffs[:k])
+            assert [x.hex() for x in d[:, 6].tolist()] == [
+                float(np.sum(np.abs(np.diff(w)))).hex() for w in batch]
 
     def test_thresholds_from_setup(self):
         thr = ClassifyThresholds.for_setup(PAPER_SETUP)
@@ -338,7 +346,7 @@ class TestSweep:
     def test_a_demo_sized_shard_does_per_row_work_only_for_exits_and_snapshots(self, monkeypatch):
         # one batch of 54 demo cells (every other demo beta) makes one
         # step_batch call per step, one _diagnostics call per step and one for
-        # the initial state, and a MeshState only for each snapshot it yields
+        # the initial state, and no MeshState: it runs verdict-only
         calls = collections.Counter()
 
         def counted(name, fn):
@@ -359,8 +367,10 @@ class TestSweep:
                      record_every=10, workers=1)
         assert len(trajs) == 54 and 0 < sum(traj.overflow for traj in trajs) < 54
         steps = max(traj.steps + traj.overflow for traj in trajs)
-        assert calls == {"step_batch": steps, "_diagnostics": steps + 1,
-                         "MeshState": sum(len(traj.snapshots) - 1 for traj in trajs)}
+        assert dict(calls) == {"step_batch": steps, "_diagnostics": steps + 1}
+        assert calls["MeshState"] == 0
+        assert all(traj.snapshots is traj.diagnostics.mass is traj.diagnostics.momentum is None
+                   for traj in trajs)
 
     def test_all_conservative_column_reports_open_transition(self):
         setup = self._small_setup()

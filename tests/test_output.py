@@ -171,7 +171,7 @@ def test_float_csv_text_equals_per_value_reference(tmp_path, columns):
     # both NaNs and infinities, subnormals, and rows equal in all but t
     t, mass, momentum, min_rho, max_abs_u = (np.asarray(c, dtype=float) for c in columns)
     traj = Trajectory([], Diagnostics(t, mass, momentum, min_rho, max_abs_u, max_abs_u),
-                      overflow=False, steps=t.size - 1)
+                      overflow=False, steps=t.size - 1, tv=np.zeros(0))
     path = tmp_path / "diagnostics.csv"
     write_diagnostics_csv(str(path), traj)
     want = _reference_csv(["t", "mass", "momentum", "min_rho", "max_abs_u"],
