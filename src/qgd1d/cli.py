@@ -1,7 +1,7 @@
 """Command-line front end: JSON config, solve / stability / sweep / verify.
 
-Exit codes: 0 success, 1 invalid configuration or parameters, 2 a solve run
-ended in overflow.  Worker count for sweeps comes from the config, overridable
+Exit codes: 0 success, 1 invalid configuration or parameters or an unwritable
+output path, 2 a solve run ended in overflow.  Worker count for sweeps comes from the config, overridable
 by the QGD1D_WORKERS environment variable when the config leaves it at 0.  A
 sweep deals its cells into one shard per worker process and advances each
 shard as one batch, so its output files are byte-identical for any worker
@@ -25,6 +25,7 @@ from .experiments import (
     Classification,
     ClassifyThresholds,
     RiemannSetup,
+    TransitionRow,
     classify_run,
     compare_transition,
     riemann_initial,
@@ -290,11 +291,10 @@ def cmd_solve(cfg: dict, out_dir: str | None = None) -> int:
             x_text = output.write_snapshot_csv(os.path.join(out_dir, f"snapshot_{idx:04d}.csv"),
                                                state, x_text)
         output.write_diagnostics_csv(os.path.join(out_dir, "diagnostics.csv"), traj)
-        output.atomic_write_text(
-            os.path.join(out_dir, "verdict.csv"),
-            "classification,oscillation_score,completed,steps\n"
-            f"{verdict.classification.value},{verdict.oscillation_score!r},{verdict.completed},{traj.steps}\n",
-        )
+        output.write_table(os.path.join(out_dir, "verdict.csv"),
+                           ["classification", "oscillation_score", "completed", "steps"],
+                           [(verdict.classification.value, verdict.oscillation_score,
+                             verdict.completed, traj.steps)])
     if "svg" in formats:
         final = traj.snapshots[-1][1]
         output.atomic_write_text(
@@ -346,10 +346,11 @@ def cmd_stability(args) -> int:
     if verdict.near_boundary:
         print("note: beta sits within 1e-9 of a threshold; verdicts are borderline")
     if args.csv:
-        output.write_verdict_csv(
-            args.csv,
-            [(params.alpha, params.beta, params.kappa, params.variant.value, verdict)],
-        )
+        output.write_table(args.csv, ["alpha", "beta", "kappa", "variant", "necessary", "criterion",
+                                      "sufficient", "oracle_rho", "oracle_gram"],
+                           [(params.alpha, params.beta, params.kappa, params.variant.value,
+                             verdict.necessary_ok, verdict.criterion_ok, verdict.sufficient_ok,
+                             verdict.oracle_spectral_radius, verdict.oracle_gram_max)])
         print(f"verdict written to {args.csv}")
     return 0
 
@@ -375,7 +376,9 @@ def cmd_sweep(cfg: dict, out_dir: str | None = None) -> int:
     if "csv" in formats:
         output.write_region_csv(os.path.join(out_dir, "region.csv"), region)
         output.write_overlay_csv(os.path.join(out_dir, "overlays.csv"), region)
-        output.write_transition_csv(os.path.join(out_dir, "transitions.csv"), rows)
+        names = TransitionRow.__dataclass_fields__            # the field names, in order
+        output.write_table(os.path.join(out_dir, "transitions.csv"), names,
+                           ([getattr(row, name) for name in names] for row in rows))
     if "svg" in formats:
         output.atomic_write_text(os.path.join(out_dir, "region.svg"),
                                  output.region_map_svg(region, title="stability region sweep"))
@@ -502,7 +505,7 @@ def main(argv=None) -> int:
         if args.command == "sweep":
             return cmd_sweep(cfg, out_dir=args.out)
         raise AssertionError(f"unhandled command {args.command}")
-    except (QgdError, ValueError) as exc:
+    except (QgdError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -53,6 +53,8 @@ class RiemannSetup:
             raise ValueError("x0 must lie strictly inside the domain")
         if not (0.0 < self.h < math.inf and 0.0 < self.t_end < math.inf):
             raise ValueError("h and t_end must be finite and > 0")
+        if not (self.x_max - self.x_min) / self.h < math.inf:
+            raise ValueError("the domain must span a finite number of mesh steps h")
 
     def mesh(self, boundary: Boundary = Boundary.OUTFLOW) -> Mesh:
         n = int(round((self.x_max - self.x_min) / self.h))
@@ -178,7 +180,6 @@ class RegionMap:
 
     alphas: np.ndarray
     betas: np.ndarray
-    beta_mode: str
     actual_betas: np.ndarray          # shape (len(alphas), len(betas))
     verdicts: list                    # nested list, same shape
     overlays: OverlayCurves
@@ -255,8 +256,8 @@ def sweep_region(setup: RiemannSetup, model: GasModel, base_cfg: SchemeConfig,
         necessary=np.array([necessary_beta_max(a, kappa, variant) for a in alphas]),
         criterion=criterion,
         sufficient=np.array([sufficient_beta_max_sw(a) for a in alphas]) if shallow_water else None)
-    return RegionMap(alphas=alphas, betas=betas, beta_mode=beta_mode,
-                     actual_betas=actual, verdicts=verdicts, overlays=overlays)
+    return RegionMap(alphas=alphas, betas=betas, actual_betas=actual, verdicts=verdicts,
+                     overlays=overlays)
 
 
 @dataclass(frozen=True)

@@ -1,18 +1,19 @@
 """CSV and SVG emission.  All writes are atomic (temp file + rename) and all
-formatting is deterministic, so identical inputs give byte-identical files."""
+formatting is deterministic, so identical inputs give byte-identical files.
+The bulk float CSVs are formatted a run of equal rows at a time (_run_texts), the
+small tables a row at a time (write_table).  Neither quotes: no float repr, "" (for
+None), int, True/False or enum name holds a comma, a quote or a line break."""
 
 from __future__ import annotations
 
-import csv
 import os
 
 import numpy as np
 
 from .errors import LengthMismatch
-from .experiments import Classification, RegionMap, TransitionRow
+from .experiments import Classification, RegionMap
 from .mesh import MeshState
 from .schemes import Trajectory
-from .spectral import StabilityVerdict
 
 
 def atomic_write_text(path: str, *texts: str) -> None:
@@ -40,15 +41,9 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _csv_text(header, rows) -> str:
-    import io
-
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_fmt(v) for v in row])
-    return buf.getvalue()
+def write_table(path: str, header, rows) -> None:
+    """One line per row, the header first: its values through _fmt, joined by commas."""
+    atomic_write_text(path, *(",".join(map(_fmt, row)) + "\n" for row in (header, *rows)))
 
 
 def _run_texts(x_text, fmt, *columns) -> list[str]:
@@ -64,7 +59,7 @@ def _run_texts(x_text, fmt, *columns) -> list[str]:
 
 
 def write_snapshot_csv(path: str, state: MeshState, x_text: list[str] | None = None) -> list[str]:
-    """The text of _csv_text, a run of rows equal in rho and u at a time (_run_texts).
+    """The text of write_table, a run of rows equal in rho and u at a time (_run_texts).
     Returns the node column's text, to pass back for states on the same mesh."""
     if x_text is None:
         x_text = list(map(repr, state.mesh.nodes.tolist()))
@@ -75,7 +70,7 @@ def write_snapshot_csv(path: str, state: MeshState, x_text: list[str] | None = N
 
 
 def write_diagnostics_csv(path: str, traj: Trajectory) -> None:
-    """The text of _csv_text, a run of rows equal in every column but t at a time (_run_texts)."""
+    """The text of write_table, a run of rows equal in every column but t at a time (_run_texts)."""
     d = traj.diagnostics
     atomic_write_text(path, "t,mass,momentum,min_rho,max_abs_u\n",
                       *_run_texts(list(map(repr, d.t.tolist())), ",{!r},{!r},{!r},{!r}\n".format,
@@ -83,50 +78,16 @@ def write_diagnostics_csv(path: str, traj: Trajectory) -> None:
 
 
 def write_region_csv(path: str, region: RegionMap) -> None:
-    rows = []
-    for i, alpha in enumerate(region.alphas):
-        betas, verdicts = region.column(i)
-        for beta, verdict in zip(betas, verdicts):
-            rows.append((float(alpha), float(beta), verdict.classification.value,
-                         verdict.oscillation_score))
-    atomic_write_text(path, _csv_text(["alpha", "beta", "verdict", "oscillation_score"], rows))
+    write_table(path, ["alpha", "beta", "verdict", "oscillation_score"],
+                [(alpha, beta, v.classification.value, v.oscillation_score)
+                 for i, alpha in enumerate(region.alphas) for beta, v in zip(*region.column(i))])
 
 
 def write_overlay_csv(path: str, region: RegionMap) -> None:
     ov = region.overlays
-    rows = []
-    for i, alpha in enumerate(ov.alphas):
-        rows.append((float(alpha), float(ov.necessary[i]), float(ov.criterion[i]),
-                     None if ov.sufficient is None else float(ov.sufficient[i])))
-    atomic_write_text(
-        path, _csv_text(["alpha", "beta_necessary", "beta_criterion", "beta_sufficient"], rows)
-    )
-
-
-def write_transition_csv(path: str, rows: list[TransitionRow]) -> None:
-    data = [
-        (r.alpha, r.largest_conservative, r.smallest_nonconservative, r.monotone,
-         r.transition, r.gap_to_criterion, r.gap_to_necessary, r.gap_to_sufficient)
-        for r in rows
-    ]
-    atomic_write_text(path, _csv_text(
-        ["alpha", "largest_conservative", "smallest_nonconservative", "monotone",
-         "transition", "gap_to_criterion", "gap_to_necessary", "gap_to_sufficient"],
-        data,
-    ))
-
-
-def write_verdict_csv(path: str, rows: list[tuple[float, float, float, str, StabilityVerdict]]) -> None:
-    """Rows of (alpha, beta, kappa, variant-name, verdict)."""
-    data = []
-    for alpha, beta, kappa, variant, v in rows:
-        data.append((alpha, beta, kappa, variant, v.necessary_ok, v.criterion_ok,
-                     v.sufficient_ok, v.oracle_spectral_radius, v.oracle_gram_max))
-    atomic_write_text(path, _csv_text(
-        ["alpha", "beta", "kappa", "variant", "necessary", "criterion", "sufficient",
-         "oracle_rho", "oracle_gram"],
-        data,
-    ))
+    sufficient = [None] * len(ov.alphas) if ov.sufficient is None else ov.sufficient
+    write_table(path, ["alpha", "beta_necessary", "beta_criterion", "beta_sufficient"],
+                zip(ov.alphas, ov.necessary, ov.criterion, sufficient))
 
 
 # ---------------------------------------------------------------------------
@@ -149,13 +110,12 @@ class _Frame:
         a, b = self.ylim
         return self.y0 + self.height - (y - a) / (b - a) * self.height
 
-    def axes(self, xlabel: str, ylabel: str, n_ticks: int = 5) -> list[str]:
+    def axes(self, xlabel: str, ylabel: str) -> list[str]:
         parts = [
             f'<rect x="{self.x0:.1f}" y="{self.y0:.1f}" width="{self.width:.1f}" '
             f'height="{self.height:.1f}" fill="none" stroke="black" stroke-width="1"/>'
         ]
-        for i in range(n_ticks):
-            fx = i / (n_ticks - 1)
+        for fx in (0.0, 0.25, 0.5, 0.75, 1.0):
             x = self.xlim[0] + fx * (self.xlim[1] - self.xlim[0])
             y = self.ylim[0] + fx * (self.ylim[1] - self.ylim[0])
             px, py = self.px(x), self.py(y)
@@ -179,14 +139,14 @@ class _Frame:
         # px and py map whole float arrays by the same operations as one point
         return list(map("{:.2f},".format, self.px(np.asarray(xs, dtype=float)).tolist()))
 
-    def polyline(self, xs, ys, dash: str = "", color: str = "black", x_text=None) -> str:
+    def polyline(self, xs, ys, dash: str = "", x_text=None) -> str:
         """A run of equal pixel-y values at a time (_run_texts).  x_text, if given, is
         x_text(xs) of a frame with the same x mapping."""
         texts = _run_texts(x_text or self.x_text(xs), "{:.2f} ".format,  # "x,y x,y ..."
                            self.py(np.asarray(ys, dtype=float)))
         pts = "".join(texts)[:-1]
         dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
-        return f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"{dash_attr}/>'
+        return f'<polyline points="{pts}" fill="none" stroke="black" stroke-width="1.5"{dash_attr}/>'
 
 
 def _svg_document(width: int, height: int, body: list[str]) -> str:
@@ -212,9 +172,9 @@ def region_map_svg(region: RegionMap, title: str = "") -> str:
     body = frame.axes("alpha", "beta")
     if title:
         body.append(f'<text x="320" y="24" font-size="14" text-anchor="middle">{title}</text>')
-    styles = [("necessary", "", "black"), ("criterion", "7,4", "black"), ("sufficient", "10,3,2,3", "black")]
-    for (name, dash, color), curve in zip(styles, curves):
-        body.append(frame.polyline(region.overlays.alphas, curve, dash=dash, color=color))
+    styles = [("necessary", ""), ("criterion", "7,4"), ("sufficient", "10,3,2,3")]
+    for (name, dash), curve in zip(styles, curves):
+        body.append(frame.polyline(region.overlays.alphas, curve, dash=dash))
         body.append(
             f'<text x="{frame.x0 + frame.width - 4:.1f}" y="{frame.py(float(curve[-1])) - 5:.1f}" '
             f'font-size="10" text-anchor="end">{name}</text>'

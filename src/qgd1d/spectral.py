@@ -27,14 +27,13 @@ sqrt(max(max_j (H^2 - beta^2 e0), 0)) and of max(|H| + beta sqrt(e0)) over
 the samples with e0 >= 0, which is exact: where e0 < 0 the real form
 |H| = sqrt(fl(H*H)) never exceeds sqrt(fl(H^2) - E).
 
-Scans read one memoised, read-only wavenumber grid per sample count: its
-distinct half, with a few alphas stacked as rows and each beta a scalar, or
-the whole grid for the worst mode.  Norm checks step all rows as one batch.
+Scans read the distinct half of the wavenumber grid, with a few alphas
+stacked as rows and each beta a scalar, or the whole grid for the worst
+mode.  Norm checks step all rows as one batch.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -105,17 +104,6 @@ def _recurrence(rho, u, a, b, k):
     return rho_new, u_new
 
 
-@functools.lru_cache(maxsize=8)
-def _wavenumber_grid(n_samples: int):
-    """theta = sin^2(xi/2) and sin(xi) on xi_j = 2*pi*j/n_samples,
-    j = 0..n_samples-1, computed once per sample count and shared read-only."""
-    xi = 2.0 * np.pi * np.arange(n_samples) / n_samples
-    theta, sin_xi = np.sin(xi / 2.0) ** 2, np.sin(xi)
-    theta.flags.writeable = False
-    sin_xi.flags.writeable = False
-    return theta, sin_xi
-
-
 def _gram_matrix(xi: float, params: LinearizedParams) -> np.ndarray:
     """The Hermitian product G(xi)^H G(xi), formed numerically from
     G(xi) = [[1 - w1, -i w2], [-i w2, 1 - kappa w1]]."""
@@ -129,8 +117,9 @@ def _gram_matrix(xi: float, params: LinearizedParams) -> np.ndarray:
 
 def _columns(alphas, kappa: float, n_samples: int, stop: int):
     """The beta-free c and d of the (alpha, kappa) columns, one row per alpha,
-    and s, at j < stop."""
-    theta, s = (grid[:stop] for grid in _wavenumber_grid(n_samples))
+    and s = sin(xi), on xi_j = 2*pi*j/n_samples at j < stop."""
+    xi = 2.0 * np.pi * np.arange(stop) / n_samples
+    theta, s = np.sin(xi / 2.0) ** 2, np.sin(xi)
     a = np.asarray(alphas, dtype=float)[:, None]
     return 2.0 * a * (1.0 + kappa) * theta, 2.0 * a * abs(kappa - 1.0) * theta, s
 

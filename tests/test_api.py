@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import qgd1d
-from qgd1d import GasModel, Mesh, MeshState, SpectrumScan, Trajectory, spectral
+from qgd1d import GasModel, Mesh, MeshState, RegionMap, SpectrumScan, Trajectory, output, spectral
 
 PUBLIC_NAMES = [
     "Boundary", "Classification", "ClassifyThresholds", "ConfigError", "Diagnostics",
@@ -45,7 +45,8 @@ def _members(owner) -> set:
     (spectral, "linearized_step"), (spectral, "verify_norm_monotonicity"),
     (spectral, "gram_matrix"), (GasModel, "enthalpy"), (GasModel, "sound_speed"),
     (MeshState, "momentum"), (Mesh, "x_max"), (Trajectory, "completed"),
-    (SpectrumScan, "n_samples"),
+    (SpectrumScan, "n_samples"), (spectral, "_wavenumber_grid"), (RegionMap, "beta_mode"),
+    (output, "write_verdict_csv"), (output, "write_transition_csv"),
 ], ids=lambda v: v if isinstance(v, str) else v.__name__.rsplit(".", 1)[-1])
 def test_removed_member_is_gone(owner, name):
     assert name not in _members(owner)

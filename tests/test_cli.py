@@ -181,7 +181,7 @@ def test_overrides_raise_only_config_error_and_keep_numbers_finite(items):
 
 
 @pytest.mark.parametrize("module", ["scipy.integrate", "concurrent.futures.process",
-                                    "multiprocessing"])
+                                    "multiprocessing", "csv"])
 def test_cli_import_leaves_scipy_out(module):
     src = os.path.dirname(os.path.dirname(qgd1d.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
@@ -311,6 +311,18 @@ class TestSolve:
         assert main(["solve", str(path)]) == 1
         assert "scheme.alpha" in capsys.readouterr().err
 
+    def test_overflowing_domain_span_exit_one(self, tmp_path, capsys):
+        assert main(["solve", str(DEMO_CONFIG), "mesh.h=1e308", "--out", str(tmp_path / "out")]) == 1
+        assert "error: the domain must span a finite number" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_unwritable_output_directory_exit_one(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("", encoding="utf-8")
+        path = _fast_config(tmp_path)
+        assert main(["solve", str(path), "--out", str(blocker / "out")]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_override_changes_run(self, tmp_path):
         path = _fast_config(tmp_path)
         code = main(["solve", str(path), "scheme.beta=6.0",
@@ -367,6 +379,14 @@ class TestStability:
         assert lines[0] == "alpha,beta,kappa,variant,necessary,criterion,sufficient,oracle_rho,oracle_gram"
         assert lines[1].startswith("0.5,1.0,1.0,qgd,True,True")
 
+    def test_unwritable_csv_path_exit_one(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("", encoding="utf-8")
+        assert main(["stability", "--alpha", "0.4", "--beta", "0.4", "--kappa", "2",
+                     "--csv", str(blocker / "x.csv")]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert blocker.read_text(encoding="utf-8") == ""
+
 
 class TestSweep:
     def _sweep_config(self, tmp_path, workers, out_name):
@@ -396,6 +416,12 @@ class TestSweep:
         region = (tmp_path / "out1" / "region.csv").read_text().splitlines()
         assert region[0] == "alpha,beta,verdict,oscillation_score"
         assert len(region) == 1 + 2 * 3
+
+    def test_overflowing_domain_span_exit_one(self, tmp_path, capsys):
+        assert main(["sweep", str(DEMO_CONFIG), "mesh.h=1e308", "sweep.workers=1",
+                     "--out", str(tmp_path / "out")]) == 1
+        assert "error: the domain must span a finite number" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_periodic_boundary_rejected(self, tmp_path, capsys):
         path = self._sweep_config(tmp_path, 1, "out")

@@ -84,6 +84,12 @@ class TestRiemannInitial:
         with pytest.raises(ValueError, match="finite"):
             replace(PAPER_SETUP, **{field: value})
 
+    @pytest.mark.parametrize("x_min, x_max, h", [(-1e308, 1e308, 1.0), (-1.0, 1.0, 5e-324)])
+    def test_rejects_a_domain_of_overflowing_span(self, x_min, x_max, h):
+        # (x_max - x_min) / h is inf, whose node count mesh() cannot round
+        with pytest.raises(ValueError, match="finite number of mesh steps"):
+            RiemannSetup(1.0, 0.0, 0.1, 0.0, x_min=x_min, x_max=x_max, h=h)
+
     def test_domain_mismatch(self):
         mesh = Mesh(n=100, h=0.05, x_min=-2.0, boundary=Boundary.OUTFLOW)
         with pytest.raises(DomainMismatch):

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from qgd1d import (
     Boundary,
+    Classification,
     Diagnostics,
     GasModel,
     Mesh,
@@ -51,11 +52,11 @@ def _reference_csv(header, rows):
     return buf.getvalue()
 
 
-def _reference_polyline(frame, xs, ys, dash="", color="black", x_text=None):
+def _reference_polyline(frame, xs, ys, dash="", x_text=None):
     """_Frame.polyline one point at a time through px and py (x_text unread)."""
     pts = " ".join(f"{frame.px(x):.2f},{frame.py(y):.2f}" for x, y in zip(xs, ys))
     dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
-    return f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"{dash_attr}/>'
+    return f'<polyline points="{pts}" fill="none" stroke="black" stroke-width="1.5"{dash_attr}/>'
 
 
 def _awkward_state():
@@ -177,6 +178,26 @@ def test_float_csv_text_equals_per_value_reference(tmp_path, columns):
     want = _reference_csv(["t", "mass", "momentum", "min_rho", "max_abs_u"],
                           zip(t, mass, momentum, min_rho, max_abs_u))
     assert path.read_text(encoding="utf-8") == want
+
+
+def test_write_table_equals_per_value_reference(tmp_path):
+    # every kind of value the small tables hold: float reprs (np.float64 among them),
+    # None, bools, ints and the verdict and variant names
+    header = ["alpha", "beta", "verdict", "variant", "score", "ok", "gap"]
+    names = [(c.value, v.value) for c in Classification for v in Variant]
+    values = [-0.0, 0.0, math.inf, -math.inf, math.nan, 5e-324, 1e22, 1.0 / 3.0,
+              np.float64(-0.0), np.float64(math.inf), np.float64(math.nan), np.float64(0.1),
+              None, True, False, 0, 25000]
+    rows = [(values[i % 17], values[(i + 5) % 17], verdict, variant, values[(i + 11) % 17],
+             bool(i % 2), None if i % 3 else values[i % 17])
+            for i, (verdict, variant) in enumerate(names * 6)]
+    path = tmp_path / "table.csv"
+    output.write_table(str(path), header, rows)
+    text = path.read_text(encoding="utf-8")
+    assert text == _reference_csv(header, rows)
+    assert text.splitlines()[1] == "-0.0,5e-324,conservative,qgd,0.1,False,-0.0"
+    output.write_table(str(path), header, [])
+    assert path.read_text(encoding="utf-8") == ",".join(header) + "\n"
 
 
 @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002], ids=["022", "077", "002"])

@@ -303,13 +303,6 @@ class TestScan:
         assert {m.split()[0] for m in mismatches} == {"necessary", "criterion"}
         assert mismatches == expect
 
-    def test_shared_grid_is_read_only(self):
-        theta, sin_xi = spectral._wavenumber_grid(256)
-        for grid in (theta, sin_xi):
-            with pytest.raises(ValueError):
-                grid[0] = 1.0
-        assert spectral._wavenumber_grid(256)[0] is theta
-
     def test_boundary_case_is_marginal(self):
         scan = spectral_radius_scan(LinearizedParams(0.5, 1.0, 1.0), 4096)
         assert scan.max_radius == pytest.approx(1.0, abs=1e-12)
