@@ -50,7 +50,6 @@ from .spectral import (
     stability_verdict,
     sufficient_beta_max_sw,
     verify_norm_batch,
-    weak_conservativeness_criterion,
 )
 
 __version__ = "0.1.0"

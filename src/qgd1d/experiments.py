@@ -56,9 +56,10 @@ class RiemannSetup:
         if not (self.x_max - self.x_min) / self.h < math.inf:
             raise ValueError("the domain must span a finite number of mesh steps h")
 
-    def mesh(self, boundary: Boundary = Boundary.OUTFLOW) -> Mesh:
+    def mesh(self) -> Mesh:
+        """The outflow mesh: a periodic wrap would join the jump to itself."""
         n = int(round((self.x_max - self.x_min) / self.h))
-        return Mesh(n=n, h=self.h, x_min=self.x_min, boundary=boundary)
+        return Mesh(n=n, h=self.h, x_min=self.x_min, boundary=Boundary.OUTFLOW)
 
 
 _SIGNAL_SPEED_COURANT = 0.25      # relative to the fastest initial signal speed
@@ -76,7 +77,7 @@ def estimate_signal_speed(setup: RiemannSetup, model: GasModel, base_cfg: Scheme
     def fastest(state: MeshState) -> float:
         return float(np.max(np.abs(state.u) + np.sqrt(model.pressure(state.rho)[1])))
 
-    initial = riemann_initial(setup, setup.mesh(Boundary.OUTFLOW))
+    initial = riemann_initial(setup, setup.mesh())
     s0 = fastest(initial)
     cfg = replace(base_cfg, beta=_SIGNAL_SPEED_COURANT, c_ref=s0)
     traj = run_simulation(initial, model, cfg, setup.t_end, record_every=_SIGNAL_SPEED_RECORD_EVERY)
@@ -192,7 +193,7 @@ def _run_cell(args) -> list[tuple[int, int, RunVerdict]]:
     """Advance one shard of sweep cells as a single verdict-only batch; each
     row is classified, and its trajectory dropped, as it leaves the batch."""
     (cells, setup, model, base_cfg, thresholds, record_every) = args
-    initial = riemann_initial(setup, setup.mesh(Boundary.OUTFLOW))
+    initial = riemann_initial(setup, setup.mesh())
     _, _, alphas, betas = zip(*cells)
     runs = run_batch(initial, model, base_cfg, alphas, betas, setup.t_end, record_every,
                      verdict_only=True)

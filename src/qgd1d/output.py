@@ -6,6 +6,7 @@ None), int, True/False or enum name holds a comma, a quote or a line break."""
 
 from __future__ import annotations
 
+import errno
 import os
 
 import numpy as np
@@ -19,6 +20,8 @@ from .schemes import Trajectory
 def atomic_write_text(path: str, *texts: str) -> None:
     """Writes the concatenation of texts."""
     directory = os.path.dirname(os.path.abspath(path))
+    if os.path.exists(directory) and not os.path.isdir(directory):  # makedirs says "File exists"
+        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), directory)
     os.makedirs(directory, exist_ok=True)
     tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}{os.path.basename(path)}")
     # created as open(path, "w") creates a file: mode 0o666 less the umask
@@ -157,7 +160,7 @@ def _svg_document(width: int, height: int, body: list[str]) -> str:
     return head + "\n".join(body) + "\n</svg>\n"
 
 
-def region_map_svg(region: RegionMap, title: str = "") -> str:
+def region_map_svg(region: RegionMap, title: str) -> str:
     """Scatter of cell verdicts (filled = conservative, hollow = non-conservative,
     cross = overflow) with the closed-form curves overlaid."""
     all_betas = region.actual_betas.ravel()
@@ -170,8 +173,7 @@ def region_map_svg(region: RegionMap, title: str = "") -> str:
     frame = _Frame(70, 40, 500, 380, (xmin - 0.05 * span, xmax + 0.05 * span), (0.0, ymax))
 
     body = frame.axes("alpha", "beta")
-    if title:
-        body.append(f'<text x="320" y="24" font-size="14" text-anchor="middle">{title}</text>')
+    body.append(f'<text x="320" y="24" font-size="14" text-anchor="middle">{title}</text>')
     styles = [("necessary", ""), ("criterion", "7,4"), ("sufficient", "10,3,2,3")]
     for (name, dash), curve in zip(styles, curves):
         body.append(frame.polyline(region.overlays.alphas, curve, dash=dash))
@@ -195,13 +197,12 @@ def region_map_svg(region: RegionMap, title: str = "") -> str:
     return _svg_document(640, 480, body)
 
 
-def profile_svg(state: MeshState, title: str = "") -> str:
+def profile_svg(state: MeshState, title: str) -> str:
     """Density and velocity vs x, stacked panels."""
     x = state.mesh.nodes
     panels = [("rho", state.rho), ("u", state.u)]
-    body, x_text = [], None
-    if title:
-        body.append(f'<text x="320" y="20" font-size="14" text-anchor="middle">{title}</text>')
+    body = [f'<text x="320" y="20" font-size="14" text-anchor="middle">{title}</text>']
+    x_text = None
     for idx, (label, values) in enumerate(panels):
         lo, hi = float(np.min(values)), float(np.max(values))
         pad = 0.05 * (hi - lo or 1.0)

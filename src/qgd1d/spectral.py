@@ -17,7 +17,11 @@ With w1 = 4*alpha*beta*sin^2(xi/2) and w2 = beta*sin(xi), the symbol is
 Since M^2 = (D^2 - w2^2) I, the eigenvalues of G are H +- sqrt(E) with
 E = D^2 - w2^2: the spectral radius is |H| + sqrt(E) for E >= 0 and
 sqrt(H^2 - E) for E < 0, and G^H G = (H^2 + D^2 + w2^2) I
-+ 2D [[H, -i w2], [i w2, -H]] has the top eigenvalue (|D| + sqrt(H^2 + w2^2))^2.
++ 2D K with K = [[H, -i w2], [i w2, -H]] has the top eigenvalue
+(|D| + sqrt(H^2 + w2^2))^2 with, where D != 0 (D has the sign of kappa - 1),
+the eigenvector of K for lam = sign(D) sqrt(H^2 + w2^2): (H + lam, i w2) if
+|H + lam| >= |H - lam|, else (i w2, H - lam), so that no entry cancels.  Where
+D = 0, G^H G is scalar and the norm check seeds its worst mode with (1, 0).
 The scans factor beta out: with theta = sin^2(xi/2) and s = sin(xi), each
 (alpha, kappa) column computes c = 2 alpha (1 + kappa) theta,
 d = 2 alpha |kappa - 1| theta, e0 = (d - s)(d + s) and s^2 once, so that
@@ -102,17 +106,6 @@ def _recurrence(rho, u, a, b, k):
     rho_new = rho - 0.5 * b * (u_p - u_m) + a * b * (rho_p - 2.0 * rho + rho_m)
     u_new = u - 0.5 * b * (rho_p - rho_m) + k * a * b * (u_p - 2.0 * u + u_m)
     return rho_new, u_new
-
-
-def _gram_matrix(xi: float, params: LinearizedParams) -> np.ndarray:
-    """The Hermitian product G(xi)^H G(xi), formed numerically from
-    G(xi) = [[1 - w1, -i w2], [-i w2, 1 - kappa w1]]."""
-    xi = float(xi)
-    w1 = 4.0 * params.alpha * params.beta * np.sin(xi / 2.0) ** 2
-    w2 = params.beta * np.sin(xi)
-    g = np.array([[1.0 - w1, -1j * w2],
-                  [-1j * w2, 1.0 - params.kappa * w1]], dtype=complex)
-    return g.conj().T @ g
 
 
 def _columns(alphas, kappa: float, n_samples: int, stop: int):
@@ -203,11 +196,6 @@ def sufficient_beta_max_sw(alpha: float) -> float:
     """Published sufficient bound for p(rho) = rho**2 and kappa = 7/3."""
     return min(2.0 * alpha / (1.0 + 6.0 * alpha + 4.0 * alpha**2),
                4.0 * alpha / (1.0 + 6.0 * alpha + 16.0 * alpha**2))
-
-
-def weak_conservativeness_criterion(params: LinearizedParams) -> bool:
-    """True iff the discrete L2 norm is non-increasing for every initial datum."""
-    return params.beta <= max_stable_beta(params.alpha, params.kappa, params.variant)
 
 
 def optimal_alpha(kappa: float, variant: Variant = Variant.FULL_QGD) -> tuple[Optional[float], float]:
@@ -322,13 +310,16 @@ def _row_norms(rho, u) -> np.ndarray:
 
 def _worst_mode_data(params: LinearizedParams, n: int):
     """Fourier mode (on the n-point mesh) maximizing the Gram eigenvalue,
-    seeded with the corresponding top eigenvector."""
+    seeded with its top eigenvector in the closed form of the module docstring."""
     c, d, s = _columns([params.alpha], params.kappa, n, n)
     h, h2, norm, scratch = np.empty((4, 1, n))
     _norms(params.beta, c, d, s * s, h, h2, norm, scratch)
-    xi_star = 2.0 * np.pi * int(np.argmax(norm)) / n
-    eigvals, eigvecs = np.linalg.eigh(_gram_matrix(xi_star, params))
-    top = eigvecs[:, int(np.argmax(eigvals))]
+    j = int(np.argmax(norm))
+    xi_star, hj, w2 = 2.0 * np.pi * j / n, float(h[0, j]), params.beta * float(s[j])
+    lam = math.copysign(math.hypot(hj, w2), params.kappa - 1.0)  # D has the sign of kappa - 1
+    top = (hj + lam, 1j * w2) if abs(hj + lam) >= abs(hj - lam) else (1j * w2, hj - lam)
+    size = math.hypot(*map(abs, top))
+    top = (top[0] / size, top[1] / size) if d[0, j] > 0.0 and size > 0.0 else (1.0, 0.0)
     phase = np.exp(1j * xi_star * np.arange(n))
     return top[0] * phase, top[1] * phase
 

@@ -384,7 +384,8 @@ class TestStability:
         blocker.write_text("", encoding="utf-8")
         assert main(["stability", "--alpha", "0.4", "--beta", "0.4", "--kappa", "2",
                      "--csv", str(blocker / "x.csv")]) == 1
-        assert capsys.readouterr().err.startswith("error: ")
+        # the error names the parent that is not a directory, as solve --out does
+        assert capsys.readouterr().err == f"error: [Errno 20] Not a directory: '{blocker}'\n"
         assert blocker.read_text(encoding="utf-8") == ""
 
 

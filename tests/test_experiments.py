@@ -59,7 +59,7 @@ class TestRiemannInitial:
     def test_step_function(self):
         mesh = PAPER_SETUP.mesh()
         state = riemann_initial(PAPER_SETUP, mesh)
-        assert mesh.n == 250
+        assert mesh.n == 250 and mesh.boundary is Boundary.OUTFLOW
         x = mesh.nodes
         assert np.all(state.rho[x < -1e-9] == 1.0)
         assert np.all(state.rho[x > 1e-9] == 0.1)

@@ -275,6 +275,40 @@ def test_linearization_agreement(kind, variant):
     assert ratios[2] < 0.2 * ratios[1]
 
 
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(list(SchemeKind)), variant=st.sampled_from(list(Variant)),
+       alpha=st.floats(0.05, 1.5), beta=st.floats(0.05, 1.5), alpha_s=st.floats(0.0, 3.0),
+       gamma=st.floats(1.0, 3.0, exclude_min=True), p1=st.floats(0.5, 2.0),
+       rho0=st.floats(0.5, 2.0))
+@example(SchemeKind.ENTHALPY, Variant.FULL_QGD, 1.0, 1.0, 0.0, 1.0078125, 1.0, 1.0)
+def test_linearization_stencil_is_exact(kind, variant, alpha, beta, alpha_s, gamma, p1, rho0):
+    # the 2x2 blocks d(rho+, u+)_j / d(rho, u)_k of one step at rest, by central
+    # differences in the scaled perturbations (rho / rho0, u / c) at one node k,
+    # equal the linearized recurrence's, node for node, to 1e-8.  The enthalpy
+    # h = gamma/(gamma - 1) p1 (rho^(gamma-1) - r0^(gamma-1)) cancels as gamma -> 1:
+    # its rounding reaches the quotient as about beta eps_mach / ((gamma - 1) eps)
+    n, k, eps = 8, 3, 1e-6
+    cancel = 4.0 * beta * np.finfo(float).eps / ((gamma - 1.0) * eps)
+    tol = 1e-8 + (cancel if kind is SchemeKind.ENTHALPY else 0.0)
+    model = GasModel(p1=p1, gamma=gamma)
+    c = math.sqrt(model.pressure(rho0)[1])
+    cfg = SchemeConfig(alpha=alpha, beta=beta, alpha_s=alpha_s, regularization=variant,
+                       scheme=kind, c_ref=c)
+    mesh = Mesh(n=n, h=1.0 / n, boundary=Boundary.PERIODIC)
+    scale = np.array([[rho0], [c]])
+    for col in range(2):
+        outs = []
+        for sign in (1.0, -1.0):
+            rho, u = np.full(n, rho0), np.zeros(n)
+            (rho, u)[col][k] += sign * eps * scale[col, 0]
+            outs.append(np.array(step_batch(rho, u, model, cfg, mesh, alpha, cfg.time_step(mesh.h))))
+        got = (outs[0] - outs[1]) / (2.0 * eps * scale)
+        impulse = np.zeros((2, n))
+        impulse[col, k] = 1.0
+        want = np.array(_recurrence(*impulse, alpha, beta, cfg.kappa))
+        assert np.max(np.abs(got - want)) <= tol, (col, got - want)
+
+
 def test_enthalpy_and_standard_steps_agree_to_second_order():
     n = 64
     mesh = Mesh(n=n, h=1.0 / n, boundary=Boundary.PERIODIC)

@@ -21,7 +21,6 @@ from qgd1d import (
     stability_verdict,
     sufficient_beta_max_sw,
     verify_norm_batch,
-    weak_conservativeness_criterion,
 )
 
 QGD = Variant.FULL_QGD
@@ -124,36 +123,49 @@ class TestLinearizedStep:
         assert np.allclose(u, expect_u, rtol=1e-10, atol=1e-10)
 
 
-class TestGram:
-    def test_gram_matches_direct_product(self):
-        p = LinearizedParams(0.45, 0.8, 7.0 / 3.0)
-        for xi in (0.3, 1.1, 2.9, 5.5):
-            g = _symbol_matrix(xi, p)
-            assert np.allclose(spectral._gram_matrix(xi, p), g.conj().T @ g, rtol=1e-15)
+def _mode_norms(params, n):
+    """||G(xi_j)||_2 at xi_j = 2*pi*j/n, j < n, from the scan's _columns and _norms."""
+    c, d, s = spectral._columns([params.alpha], params.kappa, n, n)
+    h, h2, norm, scratch = np.empty((4, 1, n))
+    spectral._norms(params.beta, c, d, s * s, h, h2, norm, scratch)
+    return norm[0]
 
+
+class TestGram:
     def test_scalar_at_kappa_one(self):
-        p = LinearizedParams(0.4, 0.9, 1.0)
-        for xi in np.linspace(0.0, 2.0 * math.pi, 33):
-            m = spectral._gram_matrix(float(xi), p)
-            assert abs(m[0, 1]) < 1e-15 and abs(m[1, 0]) < 1e-15
-            assert m[0, 0] == pytest.approx(m[1, 1], rel=1e-15)
+        # G^H G = ((1 - w1)^2 + w2^2) I: ||G|| is the root of that scalar, and every
+        # vector is a top eigenvector, so the worst mode is seeded with (1, 0)
+        n = 32
+        for beta in (0.5, 0.9, 1.3):
+            p = LinearizedParams(0.4, beta, 1.0)
+            for j, norm in enumerate(_mode_norms(p, n)):
+                g = _symbol_matrix(2.0 * math.pi * j / n, p)
+                assert norm ** 2 == pytest.approx(abs(g[0, 0]) ** 2 + abs(g[0, 1]) ** 2, rel=1e-14)
+            rho, u = spectral._worst_mode_data(p, n)
+            assert np.allclose(np.abs(rho), 1.0, rtol=1e-15) and np.array_equal(u, np.zeros(n))
 
     def test_identity_at_zero_wavenumber(self):
-        gram = spectral._gram_matrix(0.0, LinearizedParams(0.9, 1.4, 4.0))
-        assert np.array_equal(gram, np.eye(2))
+        assert _mode_norms(LinearizedParams(0.9, 1.4, 4.0), 64)[0] == 1.0
+        # inside the criterion no mode is longer than the constant one, whose seed is (1, 0)
+        rho, u = spectral._worst_mode_data(LinearizedParams(0.5, 0.3, 2.0), 64)
+        assert np.array_equal(rho, np.ones(64)) and np.array_equal(u, np.zeros(64))
 
     def test_diagonal_at_pi(self):
+        # G(pi) = diag(1 - w1, 1 - kappa w1): ||G|| is the larger entry, and the
+        # worst mode (here at pi) is seeded with that entry's unit vector
         p = LinearizedParams(0.7, 0.9, 3.0)
-        m = spectral._gram_matrix(math.pi, p)
         w1 = 4.0 * 0.7 * 0.9
-        assert m[0, 0] == pytest.approx((1.0 - w1) ** 2, rel=1e-15)
-        assert m[1, 1] == pytest.approx((1.0 - 3.0 * w1) ** 2, rel=1e-15)
-        assert abs(m[0, 1]) < 1e-15 and abs(m[1, 0]) < 1e-15
+        norms = _mode_norms(p, 64)
+        assert norms[32] == pytest.approx(abs(1.0 - 3.0 * w1), rel=1e-15)
+        assert int(np.argmax(norms)) == 32
+        rho, u = spectral._worst_mode_data(p, 64)
+        assert np.max(np.abs(rho)) < 1e-15
+        assert np.allclose(u, u[0] * (-1.0) ** np.arange(64), rtol=0.0, atol=1e-13)
+        assert abs(u[0]) == pytest.approx(1.0, rel=1e-15)
 
     def test_unitary_quarter_wave_reference_point(self):
         # G(pi/2) = [[0, -i], [-i, 0]] at alpha=0.5, beta=1, kappa=1
-        assert np.allclose(spectral._gram_matrix(math.pi / 2.0, LinearizedParams(0.5, 1.0, 1.0)),
-                           np.eye(2), atol=1e-15)
+        assert _mode_norms(LinearizedParams(0.5, 1.0, 1.0), 64)[16] == pytest.approx(1.0, abs=1e-15)
 
 
 def _reference_spectra(params, n_samples):
@@ -213,6 +225,59 @@ def _linearized_params(draw):
     if threshold > 0.0:
         beta = threshold * draw(st.floats(0.9, 1.1))
     return LinearizedParams(alpha, beta, kappa, variant)
+
+
+def _seed_case(params, n):
+    """Check the worst mode's seed against numpy's Hermitian eigensolver on the
+    Gram matrix built from _symbol_matrix at the mode; return the case it met:
+    "scalar" (G^H G a multiple of I, where the seed is (1, 0)), or the mode
+    ("pi" or "interior") and the candidate the closed form takes ("H+lam",
+    "H-lam"), for K = [[H, -i w2], [i w2, -H]] and lam = sign(D) sqrt(H^2 + w2^2)."""
+    rho, u = spectral._worst_mode_data(params, n)
+    j = int(np.argmax(_reference_spectra(params, n)[1]))
+    xi = 2.0 * math.pi * j / n
+    seed = np.array([rho[0], u[0]])
+    phase = np.exp(1j * xi * np.arange(n))
+    assert np.allclose(rho, seed[0] * phase, rtol=0.0, atol=1e-12)
+    assert np.allclose(u, seed[1] * phase, rtol=0.0, atol=1e-12)
+    assert abs(np.vdot(seed, seed) - 1.0) <= 1e-15
+    g = _symbol_matrix(xi, params)
+    if g[0, 0] == g[1, 1]:                         # D = 0: G^H G = (H^2 + w2^2) I
+        assert np.array_equal(seed, [1.0, 0.0])
+        return ("scalar",)
+    vals, vecs = np.linalg.eigh(g.conj().T @ g)
+    gap = (vals[1] - vals[0]) / vals[1]
+    if gap <= 1e-6:
+        return ("close",)                          # eigh's vector is ill-conditioned there
+    # eigh's vector is good to about eps_mach / gap, up to a phase; the seed must match
+    # it that closely, which taking the cancelling candidate fails next to xi = pi
+    inner = np.vdot(vecs[:, 1], seed)
+    assert np.max(np.abs(seed - inner / abs(inner) * vecs[:, 1])) <= 8.0 * np.finfo(float).eps / gap
+    h, d = (g[0, 0].real + g[1, 1].real) / 2.0, (g[0, 0].real - g[1, 1].real) / 2.0
+    lam = math.copysign(math.hypot(h, abs(g[0, 1])), d)
+    return ("pi" if 2 * j == n else "interior", "H+lam" if abs(h + lam) >= abs(h - lam) else "H-lam")
+
+
+class TestWorstMode:
+    @settings(max_examples=80, deadline=None)
+    @given(_linearized_params(), st.sampled_from([64, 101, 128]))
+    def test_seed_is_the_top_gram_eigenvector(self, params, n):
+        _seed_case(params, n)
+
+    @pytest.mark.parametrize("params, n, case", [
+        (LinearizedParams(0.4, 1.5, 0.5, QHD), 64, ("interior", "H+lam")),     # D < 0
+        (LinearizedParams(0.1, 0.3, 0.5, QHD), 64, ("interior", "H-lam")),     # D < 0
+        (LinearizedParams(0.7, 0.8, 0.5, QHD), 64, ("pi", "H+lam")),           # D < 0
+        (LinearizedParams(0.7, 0.8, 0.5, QHD), 1001, ("interior", "H+lam")),   # next to pi
+        (LinearizedParams(0.1, 0.3, 7.0 / 3.0), 64, ("interior", "H+lam")),
+        (LinearizedParams(0.2, 1.5, 7.0 / 3.0), 64, ("interior", "H-lam")),
+        (LinearizedParams(0.7, 0.9, 3.0), 64, ("pi", "H-lam")),
+        (LinearizedParams(0.7, 0.9, 3.0), 1001, ("interior", "H-lam")),        # next to pi
+        (LinearizedParams(0.5, 1.1, 1.0), 64, ("scalar",)),                    # kappa = 1
+        (LinearizedParams(0.5, 0.3, 2.0), 64, ("scalar",)),                    # xi = 0
+    ])
+    def test_seed_cases(self, params, n, case):
+        assert _seed_case(params, n) == case
 
 
 class TestScan:
@@ -398,8 +463,6 @@ class TestClosedForms:
     def test_qhd_no_stability_without_viscosity(self):
         for alpha in (0.1, 0.5, 1.5):
             assert max_stable_beta(alpha, 0.0, QHD) == 0.0
-            assert not weak_conservativeness_criterion(
-                LinearizedParams(alpha, 1e-6, 0.0, QHD))
 
     def test_invalid_kappa(self):
         with pytest.raises(InvalidKappa):
@@ -453,7 +516,7 @@ class TestClosedForms:
         a, k, variant = params.alpha, params.kappa, params.variant
         nec, crit = necessary_beta_max(a, k, variant), max_stable_beta(a, k, variant)
         for verdict, threshold, peak in ((params.beta <= nec, nec, radius),
-                                         (weak_conservativeness_criterion(params), crit, gram)):
+                                         (params.beta <= crit, crit, gram)):
             if abs(params.beta - threshold) > 1e-3:
                 assert verdict == (peak <= 1.0 + 1e-10), (threshold, peak)
 
@@ -513,12 +576,7 @@ def _serial_norm_check(params, n, steps, trials, seed, step_tol=1e-12, growth_to
     margin = (not criterion) and params.beta >= 1.05 * threshold
     datasets = []
     if not criterion:
-        modes = 2.0 * np.pi * np.arange(n) / n
-        xi_star = float(modes[int(np.argmax(_reference_spectra(params, n)[1]))])
-        eigvals, eigvecs = np.linalg.eigh(spectral._gram_matrix(xi_star, params))
-        top = eigvecs[:, int(np.argmax(eigvals))]
-        phase = np.exp(1j * xi_star * np.arange(n))
-        datasets.append((top[0] * phase, top[1] * phase))
+        datasets.append(spectral._worst_mode_data(params, n))  # its vector: TestWorstMode
     for _ in range(trials):
         datasets.append((rng.standard_normal(n) + 1j * rng.standard_normal(n),
                          rng.standard_normal(n) + 1j * rng.standard_normal(n)))
