@@ -10,7 +10,6 @@ from .errors import (
     LengthMismatch,
     NonPositiveDensity,
     QgdError,
-    ReportFailure,
 )
 from .experiments import (
     Classification,

@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from . import output
-from .errors import ConfigError, QgdError, ReportFailure
+from .errors import ConfigError, QgdError
 from .experiments import (
     Classification,
     ClassifyThresholds,
@@ -408,11 +408,12 @@ def _verify_norm_monotonicity_suite() -> tuple[bool, str]:
         inside = LinearizedParams(alpha, float(threshold * rng.uniform(0.2, 0.98)), kappa)
         outside = LinearizedParams(alpha, float(threshold * rng.uniform(1.06, 1.5)), kappa)
         checks += [NormCheck(inside, trials=3, seed=seed), NormCheck(outside, trials=1, seed=seed)]
-    try:
-        verify_norm_batch(checks, n=128, steps=120)
-    except ReportFailure as exc:
-        return False, str(exc)
-    return True, f"{len(checks)} parameter points"
+    failed = next((r for r in verify_norm_batch(checks, n=128, steps=120) if not r.passed), None)
+    if failed is None:
+        return True, f"{len(checks)} parameter points"
+    p = failed.params
+    return False, (f"norm-monotonicity check failed at alpha={p.alpha} beta={p.beta} kappa={p.kappa} "
+                   f"{p.variant.value}: {len(failed.violations)} point(s): {failed.violations[:3]}")
 
 
 def _verify_conservation() -> tuple[bool, str]:

@@ -28,10 +28,3 @@ class EmptyTrajectory(QgdError):
 class ConfigError(QgdError):
     """Invalid run configuration."""
 
-
-class ReportFailure(QgdError):
-    """A verification run found violations; the report is attached."""
-
-    def __init__(self, message, report=None):
-        super().__init__(message)
-        self.report = report

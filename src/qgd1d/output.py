@@ -23,7 +23,7 @@ def atomic_write_text(path: str, *texts: str) -> None:
     if os.path.exists(directory) and not os.path.isdir(directory):  # makedirs says "File exists"
         raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), directory)
     os.makedirs(directory, exist_ok=True)
-    tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}{os.path.basename(path)}")
+    tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}")  # fits where path's name fits
     # created as open(path, "w") creates a file: mode 0o666 less the umask
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:

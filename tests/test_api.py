@@ -6,23 +6,25 @@ import dataclasses
 import importlib
 import importlib.util
 import pathlib
+import re
 import types
 
 import numpy as np
 import pytest
 
 import qgd1d
-from qgd1d import GasModel, Mesh, MeshState, RegionMap, SpectrumScan, Trajectory, output, spectral
+from qgd1d import (GasModel, Mesh, MeshState, NormCheck, RegionMap, SpectrumScan, Trajectory, cli,
+                   errors, output, spectral)
 
 PUBLIC_NAMES = [
     "Boundary", "Classification", "ClassifyThresholds", "ConfigError", "Diagnostics",
     "DomainMismatch", "EmptyTrajectory", "GasModel", "InvalidKappa", "LengthMismatch",
     "LinearizedParams", "Mesh", "MeshState", "NonPositiveDensity", "NormCheck",
-    "NormMonotonicityReport", "OverlayCurves", "QgdError", "RegionMap", "ReportFailure",
-    "RiemannSetup", "RunVerdict", "SchemeConfig", "SchemeKind", "SpectrumScan",
-    "StabilityVerdict", "Trajectory", "TransitionRow", "Variant", "classify_run",
-    "compare_transition", "estimate_signal_speed", "max_stable_beta", "necessary_beta_max",
-    "optimal_alpha", "oracle_mismatches", "riemann_initial", "run_batch", "run_simulation",
+    "NormMonotonicityReport", "OverlayCurves", "QgdError", "RegionMap", "RiemannSetup",
+    "RunVerdict", "SchemeConfig", "SchemeKind", "SpectrumScan", "StabilityVerdict",
+    "Trajectory", "TransitionRow", "Variant", "classify_run", "compare_transition",
+    "estimate_signal_speed", "max_stable_beta", "necessary_beta_max", "optimal_alpha",
+    "oracle_mismatches", "riemann_initial", "run_batch", "run_simulation",
     "spectral_radius_scan", "stability_verdict", "step_batch", "sufficient_beta_max_sw",
     "sweep_region", "verify_norm_batch",
 ]
@@ -33,6 +35,32 @@ def test_public_names_are_pinned():
     names = sorted(name for name, value in vars(qgd1d).items()
                    if not name.startswith("_") and not isinstance(value, types.ModuleType))
     assert names == PUBLIC_NAMES
+
+
+# public names that only tests call, each with the reason it stays
+_TEST_ONLY = {
+    "serialize_config": "the sweep's planned run manifest may write the config with it",
+}
+
+
+def test_public_api_has_callers_outside_tests():
+    # no public API that only tests call: each public name and each public function of
+    # cli and output is named in src/ (past its definition and the package's re-export),
+    # README.md, pyproject.toml or perfbench/
+    root = pathlib.Path(__file__).resolve().parents[1]
+    paths = [p for p in (root / "src" / "qgd1d").glob("*.py") if p.name != "__init__.py"]
+    paths += [root / "README.md", root / "pyproject.toml", *(root / "perfbench").glob("*.py"),
+              *(root / "perfbench").glob("*.md")]
+    text = "\n".join(p.read_text(encoding="utf-8") for p in paths)
+    names = set(PUBLIC_NAMES) | {
+        name for module in (cli, output) for name, value in vars(module).items()
+        if not name.startswith("_") and isinstance(value, types.FunctionType)
+        and value.__module__ == module.__name__}
+    unused = sorted(
+        name for name in names - set(_TEST_ONLY)
+        if len(re.findall(rf"\b{name}\b", text)) <= len(re.findall(rf"\b(?:def|class) {name}\b", text)))
+    assert unused == []
+    assert set(_TEST_ONLY) <= names
 
 
 def _members(owner) -> set:
@@ -47,7 +75,8 @@ def _members(owner) -> set:
     (MeshState, "momentum"), (Mesh, "x_max"), (Trajectory, "completed"),
     (SpectrumScan, "n_samples"), (spectral, "_wavenumber_grid"), (RegionMap, "beta_mode"),
     (output, "write_verdict_csv"), (output, "write_transition_csv"), (spectral, "_gram_matrix"),
-    (spectral, "weak_conservativeness_criterion"),
+    (spectral, "weak_conservativeness_criterion"), (errors, "ReportFailure"),
+    (NormCheck, "step_tol"), (NormCheck, "growth_tol"), (spectral, "_norm_reports"),
 ], ids=lambda v: v if isinstance(v, str) else v.__name__.rsplit(".", 1)[-1])
 def test_removed_member_is_gone(owner, name):
     assert name not in _members(owner)

@@ -252,6 +252,17 @@ class TestSolve:
         assert snapshots and snapshots[0].read_text().startswith("x,rho,u")
         assert "conservative" in capsys.readouterr().out
 
+    def test_no_config_file_runs_the_defaults(self, tmp_path, capsys):
+        # the default beta overflows the demo within a few steps: exit 2
+        empty = tmp_path / "empty.json"
+        empty.write_text("{}", encoding="utf-8")
+        assert main(["solve", "--out", str(tmp_path / "a")]) == 2
+        out_a = capsys.readouterr().out
+        assert main(["solve", str(empty), "--out", str(tmp_path / "b")]) == 2
+        assert capsys.readouterr().out.replace("/b\n", "/a\n") == out_a
+        files = [{p.name: p.read_bytes() for p in (tmp_path / d).iterdir()} for d in "ab"]
+        assert files[0] == files[1] and "verdict.csv" in files[0]
+
     def test_csv_outputs_parse_back_to_memory(self, tmp_path):
         path = _fast_config(tmp_path)
         assert main(["solve", str(path)]) == 0
@@ -365,6 +376,10 @@ class TestStability:
         argv = ["stability"] + [item for key, v in args.items() for item in (f"--{key}", v)]
         assert main(argv) == 1
         assert f"{name} must be finite" in capsys.readouterr().err
+
+    def test_negative_alpha_s_exit_one(self, capsys):
+        assert main(["stability", "--alpha", "0.5", "--beta", "0.5", "--alpha-s", "-1"]) == 1
+        assert capsys.readouterr().err == "error: alpha_s must be >= 0\n"
 
     def test_kappa_and_alpha_s_together_exit_one(self, capsys):
         assert main(["stability", "--alpha", "0.5", "--beta", "0.5",
@@ -494,6 +509,26 @@ class TestVerify:
         assert main(["verify"]) == 1
         out = capsys.readouterr().out
         assert f"suite discrete-conservation   : FAIL  ({detail})" in out
+
+    def test_spectral_suites_fail_on_a_mismatch_and_a_growing_norm(self, monkeypatch, capsys):
+        from qgd1d import cli, spectral
+
+        recurrence = spectral._recurrence
+        monkeypatch.setattr(spectral, "_recurrence",
+                            lambda *args: tuple(1.5 * v for v in recurrence(*args)))
+        monkeypatch.setattr(cli, "oracle_mismatches",
+                            lambda: (6720, ["necessary mismatch at alpha=0.5 beta=0.5 kappa=1.0 qgd"]))
+        assert main(["verify"]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "suite oracle-vs-closed-forms  : FAIL  (necessary mismatch at alpha=0.5 beta=0.5 "
+            "kappa=1.0 qgd)",
+            # the first failing check, inside the criterion: every step of its 3 trials grows
+            "suite norm-monotonicity       : FAIL  (norm-monotonicity check failed at "
+            "alpha=0.7876050132651335 beta=0.1384384408795907 kappa=3.6916414029087266 qgd: "
+            "360 point(s): [(0, 1, 1.0531287231224584), (0, 2, 1.23429156427611), "
+            "(0, 3, 1.3295323859249504)])",
+            "suite discrete-conservation   : PASS  (mass and momentum checks on periodic meshes)",
+        ]
 
     def test_takes_no_config(self):
         with pytest.raises(SystemExit) as exc:

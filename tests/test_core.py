@@ -173,6 +173,10 @@ class TestMesh:
         with pytest.raises(ValueError, match="finite"):
             Mesh(n=10, h=h, x_min=x_min)
 
+    def test_rejects_fewer_than_three_nodes(self):
+        with pytest.raises(ValueError, match="at least 3 nodes"):
+            Mesh(n=2, h=0.1)
+
 
 class TestMeshState:
     def test_positive_density_enforced(self):

@@ -90,6 +90,11 @@ class TestRiemannInitial:
         with pytest.raises(ValueError, match="finite number of mesh steps"):
             RiemannSetup(1.0, 0.0, 0.1, 0.0, x_min=x_min, x_max=x_max, h=h)
 
+    @pytest.mark.parametrize("x0", [-1.0, 1.0, 2.0])
+    def test_rejects_a_jump_not_strictly_inside_the_domain(self, x0):
+        with pytest.raises(ValueError, match="x0 must lie strictly inside the domain"):
+            replace(PAPER_SETUP, x_min=-1.0, x_max=1.0, x0=x0)
+
     def test_domain_mismatch(self):
         mesh = Mesh(n=100, h=0.05, x_min=-2.0, boundary=Boundary.OUTFLOW)
         with pytest.raises(DomainMismatch):

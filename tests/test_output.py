@@ -214,6 +214,24 @@ def test_atomic_write_gives_the_mode_of_a_plain_open(tmp_path, umask):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["atomic.csv", "plain.csv"]
 
 
+def test_atomic_write_takes_any_name_a_plain_open_takes(tmp_path):
+    name = "a" * 246 + ".csv"                     # 250 bytes, under the usual 255-byte limit
+    with open(tmp_path / name, "w") as f:
+        f.write("old\n")
+    output.atomic_write_text(str(tmp_path / name), "a,b\n")
+    assert (tmp_path / name).read_text(encoding="utf-8") == "a,b\n"
+    assert [p.name for p in tmp_path.iterdir()] == [name]
+
+
+def test_failed_atomic_write_leaves_the_target_and_no_temp_file(tmp_path):
+    target = tmp_path / "table.csv"
+    target.write_text("old\n", encoding="utf-8")
+    with pytest.raises(UnicodeEncodeError):
+        output.atomic_write_text(str(target), "a,b\n", "\ud800\n")   # a lone surrogate
+    assert target.read_text(encoding="utf-8") == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["table.csv"]
+
+
 def test_profile_svg_equals_per_point_polyline(monkeypatch):
     mesh = Mesh(n=300, h=1.0 / 299.0, x_min=-0.3, boundary=Boundary.OUTFLOW)
     x = mesh.nodes

@@ -915,6 +915,13 @@ def test_run_batch_rejects_a_non_finite_alpha(alphas):
         next(run_batch(state, MODEL, cfg, alphas, [0.3] * len(alphas), t_end=0.1))
 
 
+def test_run_batch_rejects_a_record_interval_below_one():
+    state = periodic_state(n=16, h=0.1, seed=2)
+    cfg = SchemeConfig(alpha=0.4, beta=0.3, c_ref=1.0)
+    with pytest.raises(ValueError, match="record_every must be >= 1"):
+        next(run_batch(state, MODEL, cfg, [0.4], [0.3], t_end=0.1, record_every=0))
+
+
 @pytest.mark.parametrize("t_end", [0.0, -0.1, math.nan, math.inf])
 def test_run_rejects_a_non_finite_or_non_positive_t_end(t_end):
     state = periodic_state(n=16, h=0.1, seed=2)

@@ -12,7 +12,6 @@ from qgd1d import (
     InvalidKappa,
     LinearizedParams,
     NormCheck,
-    ReportFailure,
     Variant,
     max_stable_beta,
     necessary_beta_max,
@@ -32,9 +31,9 @@ def _step(rho, u, p):
     return spectral._recurrence(rho, u, p.alpha, p.beta, p.kappa)
 
 
-def _norm_check(params, n, steps, trials, seed, **tols):
+def _norm_check(params, n, steps, trials, seed):
     """The report of one norm check, run alone."""
-    return verify_norm_batch([NormCheck(params, trials, seed, **tols)], n, steps)[0]
+    return verify_norm_batch([NormCheck(params, trials, seed)], n, steps)[0]
 
 
 def _symbol_matrix(xi, params):
@@ -469,6 +468,9 @@ class TestClosedForms:
             LinearizedParams(0.5, 0.5, 0.5, QGD)
         with pytest.raises(InvalidKappa):
             max_stable_beta(0.5, -1.0, QHD)
+        for variant in (QGD, QHD):
+            with pytest.raises(InvalidKappa, match="alpha_s must be >= 0"):
+                LinearizedParams.from_alpha_s(0.5, 0.5, -1.0, variant)
 
     def test_sufficient_bound_values(self):
         assert sufficient_beta_max_sw(0.5) == pytest.approx(0.2, rel=1e-14)
@@ -559,16 +561,38 @@ class TestLemma1:
         rho, u = _step(np.zeros(32, complex), np.zeros(32, complex), p)
         assert np.all(rho == 0) and np.all(u == 0)
 
-    def test_report_failure_raised_on_forced_violation(self):
-        # inside the criterion with an impossible tolerance must report
-        with pytest.raises(ReportFailure) as err:
-            _norm_check(LinearizedParams(0.5, 0.9, 1.0), n=64, steps=50, trials=2, seed=3,
-                        step_tol=-0.5)
-        assert err.value.report is not None
-        assert err.value.report.violations
+
+class TestNormReport:
+    """_norm_report on synthetic norm histories, which no correct scheme produces."""
+
+    def test_growth_inside_the_criterion_fails_with_each_point(self):
+        check = NormCheck(LinearizedParams(0.5, 0.9, 1.0), trials=2)
+        histories = [[1.0, 1.0, 1.5, 1.2, 1.3], [2.0, 2.0 + 1e-12, 2.0 + 1e-12, 2.0 + 1e-10, 1.0]]
+        report = spectral._norm_report(check, 16, 4, histories, threshold=1.0)
+        assert report.criterion_holds and not report.margin_checked and not report.passed
+        # listed in (trial, step) order; a flat step and a growth within 1e-12 are none
+        assert report.violations == [(0, 2, 1.5), (0, 4, 1.3 / 1.2),
+                                     (1, 3, (2.0 + 1e-10) / (2.0 + 1e-12))]
+        assert (report.max_step_ratio, report.max_total_growth) == (1.5, 1.5)
+        assert (report.n, report.steps, report.trials) == (16, 4, 2)
+
+    def test_flat_worst_mode_past_the_margin_fails(self):
+        check = NormCheck(LinearizedParams(0.5, 1.1, 1.0), trials=1)
+        histories = [[1.0, 1.0, 1.0 + 1e-7], [3.0, 2.0, 1.0]]      # worst mode, then a trial
+        report = spectral._norm_report(check, 16, 2, histories, threshold=1.0)
+        assert not report.criterion_holds and report.margin_checked and not report.passed
+        assert report.violations == [("worst-mode", 2, 1.0 + 1e-7)]
+        assert report.max_total_growth == 1.0 + 1e-7
+
+    def test_growth_past_the_margin_passes_and_the_band_asserts_nothing(self):
+        check = NormCheck(LinearizedParams(0.5, 1.1, 1.0), trials=0)
+        grown = spectral._norm_report(check, 16, 1, [[1.0, 1.0 + 2e-6]], threshold=1.0)
+        assert grown.passed and grown.violations == []
+        flat = spectral._norm_report(check, 16, 1, [[1.0, 1.0]], threshold=1.08)
+        assert flat.passed and not flat.criterion_holds and not flat.margin_checked
 
 
-def _serial_norm_check(params, n, steps, trials, seed, step_tol=1e-12, growth_tol=1e-6):
+def _serial_norm_check(params, n, steps, trials, seed):
     """The norm check as a loop over trials, each stepped alone on 1D arrays."""
     rng = np.random.default_rng(seed)
     threshold = max_stable_beta(params.alpha, params.kappa, params.variant)
@@ -595,7 +619,7 @@ def _serial_norm_check(params, n, steps, trials, seed, step_tol=1e-12, growth_to
             if prev > 0.0:
                 ratio = cur / prev
                 max_step_ratio = max(max_step_ratio, ratio)
-                if criterion and ratio > 1.0 + step_tol:
+                if criterion and ratio > 1.0 + 1e-12:
                     violations.append((trial, m, ratio))
             if norm0 > 0.0:
                 best = max(best, cur / norm0)
@@ -604,7 +628,7 @@ def _serial_norm_check(params, n, steps, trials, seed, step_tol=1e-12, growth_to
     if criterion:
         passed = not violations
     elif margin:
-        passed = max_total_growth > 1.0 + growth_tol
+        passed = max_total_growth > 1.0 + 1e-6
         if not passed:
             violations.append(("worst-mode", steps, max_total_growth))
     else:
@@ -612,55 +636,70 @@ def _serial_norm_check(params, n, steps, trials, seed, step_tol=1e-12, growth_to
     return max_step_ratio, max_total_growth, passed, violations
 
 
-_MIXED_CASES = [
-    (LinearizedParams(0.5, 0.9, 1.0), {}),                        # inside the criterion
-    (LinearizedParams(0.45, 1.1, 1.5, QHD), {}),                  # in the margin
-    (LinearizedParams(0.5, 1.02, 1.0), {}),                       # in the 5 % band
-    (LinearizedParams(0.3, 0.4, 2.0), {"step_tol": -5e-3}),       # failing inside
-    (LinearizedParams(0.5, 1.1, 1.0), {"growth_tol": 1e9}),       # failing in the margin
+_MIXED_CASES = [  # each check with the factor a faulty scheme multiplies its steps by
+    (LinearizedParams(0.5, 0.9, 1.0), 1.0),                       # inside the criterion
+    (LinearizedParams(0.45, 1.1, 1.5, QHD), 1.0),                 # in the margin
+    (LinearizedParams(0.5, 1.02, 1.0), 1.0),                      # in the 5 % band
+    (LinearizedParams(0.3, 0.4, 2.0), 1.005),                     # failing inside
+    (LinearizedParams(0.55, 1.2, 1.0), 0.5),                      # failing in the margin
 ]
+
+
+def _break_recurrence(monkeypatch, cases):
+    """Make spectral._recurrence multiply each step of the rows whose alpha is that
+    of a case by the case's factor, in a batch and in a 1D step alike."""
+    factors = {params.alpha: factor for params, factor in cases if factor != 1.0}
+    if not factors:
+        return
+    recurrence = spectral._recurrence
+
+    def faulty(rho, u, a, b, k):
+        f = np.ones(np.shape(a))
+        for alpha, factor in factors.items():
+            f = np.where(a == alpha, factor, f)
+        rho, u = recurrence(rho, u, a, b, k)
+        return f * rho, f * u
+
+    monkeypatch.setattr(spectral, "_recurrence", faulty)
 
 
 def _fields(report):
     return (report.max_step_ratio, report.max_total_growth, report.passed, report.violations)
 
 
-@pytest.mark.parametrize("params, tols", _MIXED_CASES)
-def test_batched_norm_check_equals_serial_loop(params, tols):
-    expect = _serial_norm_check(params, n=64, steps=80, trials=3, seed=5, **tols)
-    try:
-        report = _norm_check(params, n=64, steps=80, trials=3, seed=5, **tols)
-    except ReportFailure as exc:
-        report = exc.report
-        assert not report.passed
+@pytest.mark.parametrize("params, factor", _MIXED_CASES)
+def test_batched_norm_check_equals_serial_loop(monkeypatch, params, factor):
+    _break_recurrence(monkeypatch, [(params, factor)])
+    expect = _serial_norm_check(params, n=64, steps=80, trials=3, seed=5)
+    report = _norm_check(params, n=64, steps=80, trials=3, seed=5)
     assert _fields(report) == expect
-    if tols.get("step_tol"):
+    assert report.passed == (factor == 1.0)
+    if factor > 1.0:
         # some steps but not all violate, and they are listed in (trial, step) order
         assert 0 < len(report.violations) < 3 * 80
         assert [v[:2] for v in report.violations] == sorted(v[:2] for v in report.violations)
+    if factor < 1.0:
+        assert report.violations == [("worst-mode", 80, 1.0)]
 
 
-def test_mixed_norm_batch_equals_serial_loops():
-    checks = [NormCheck(params, trials=3, seed=5 + i, **tols)
-              for i, (params, tols) in enumerate(_MIXED_CASES)]
-    reports = spectral._norm_reports(checks, n=64, steps=80)
+def test_mixed_norm_batch_equals_serial_loops(monkeypatch):
+    _break_recurrence(monkeypatch, _MIXED_CASES)
+    checks = [NormCheck(params, trials=3, seed=5 + i) for i, (params, _) in enumerate(_MIXED_CASES)]
+    reports = verify_norm_batch(checks, n=64, steps=80)
     assert [_fields(r) for r in reports] == [
-        _serial_norm_check(c.params, 64, 80, c.trials, c.seed, c.step_tol, c.growth_tol)
-        for c in checks]
+        _serial_norm_check(c.params, 64, 80, c.trials, c.seed) for c in checks]
     assert [r.passed for r in reports] == [True, True, True, False, False]
 
 
-def test_failing_norm_batch_raises_first_failure():
-    checks = [NormCheck(params, trials=2, seed=9, **tols) for params, tols in _MIXED_CASES]
-    with pytest.raises(ReportFailure) as alone:
-        _norm_check(checks[3].params, n=64, steps=80, trials=2, seed=9, step_tol=-5e-3)
-    with pytest.raises(ReportFailure) as batch:
-        verify_norm_batch(checks, n=64, steps=80)
-    assert str(batch.value) == str(alone.value)
-    assert batch.value.report == alone.value.report
-    # the message names the failing check, not only its (trial, step, ratio) points
-    assert str(batch.value).startswith(
-        "norm-monotonicity check failed at alpha=0.3 beta=0.4 kappa=2.0 qgd: ")
+def test_failing_checks_report_in_a_batch_as_alone(monkeypatch):
+    # the batch returns every report, a failed check's among them, and raises for none
+    _break_recurrence(monkeypatch, _MIXED_CASES)
+    checks = [NormCheck(params, trials=2, seed=9) for params, _ in _MIXED_CASES]
+    reports = verify_norm_batch(iter(checks), n=64, steps=80)
+    assert reports == [_norm_check(c.params, n=64, steps=80, trials=2, seed=9) for c in checks]
+    assert [r.passed for r in reports] == [True, True, True, False, False]
+    assert reports[3].criterion_holds and reports[3].violations
+    assert reports[4].violations == [("worst-mode", 80, 1.0)]
 
 
 def test_cli_norm_suite_equals_one_check_runs(monkeypatch):
