@@ -25,7 +25,7 @@ FloatOrArray = Union[float, np.ndarray]
 
 def _check_density(rho) -> np.ndarray:
     arr = np.asarray(rho, dtype=float)
-    if not np.all(arr > 0.0):
+    if not (arr > 0.0).all():
         raise NonPositiveDensity("density must be strictly positive")
     return arr
 

@@ -22,6 +22,8 @@ def atomic_write_text(path: str, *texts: str) -> None:
     directory = os.path.dirname(os.path.abspath(path))
     if os.path.exists(directory) and not os.path.isdir(directory):  # makedirs says "File exists"
         raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), directory)
+    if os.path.isdir(path) and not os.path.islink(path):   # os.replace fails only after the write
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     os.makedirs(directory, exist_ok=True)
     tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}")  # fits where path's name fits
     # created as open(path, "w") creates a file: mode 0o666 less the umask
@@ -139,8 +141,9 @@ class _Frame:
 
     def x_text(self, xs) -> list[str]:
         """The pixel-x text of each point of xs, with the comma that follows it."""
-        # px and py map whole float arrays by the same operations as one point
-        return list(map("{:.2f},".format, self.px(np.asarray(xs, dtype=float)).tolist()))
+        # px and py map whole float arrays by the same operations as one point; %.2f is {:.2f}
+        px = self.px(np.asarray(xs, dtype=float)).tolist()
+        return ("%.2f,\n" * len(px) % tuple(px)).split("\n")[:-1]
 
     def polyline(self, xs, ys, dash: str = "", x_text=None) -> str:
         """A run of equal pixel-y values at a time (_run_texts).  x_text, if given, is

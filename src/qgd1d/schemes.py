@@ -56,10 +56,11 @@ and 0.0.  A periodic wrap joins the two runs, so there it steps every node.
 The kernel's temporaries are flat runs of their rows at a pitch of w + 2 (see
 `_Workspace`), so that each pass is one 1-D ufunc call.
 `run_batch` (whose one-row case is `run_simulation`) steps in place on one
-`_Workspace`, carrying the window from step to step.  Whole rows are read only
-by the mass and momentum sums of its per-step diagnostics, which a verdict-only
-run skips, and by the TV(rho) of the states it records; overflow is found from
-the diagnostics: min_rho > 0, max_rho < inf, finite max_abs_u.
+`_Workspace`, carrying the window, and each row's rho*u, from step to step.
+Whole rows are read only by the mass and momentum sums of its per-step
+diagnostics, which a verdict-only run skips, and by the TV(rho) of the states
+it records; overflow is found from the diagnostics: min_rho > 0, max_rho < inf,
+finite max_abs_u.  It ignores floating-point errors between two row exits.
 """
 
 from __future__ import annotations
@@ -297,25 +298,33 @@ class Trajectory:
     note: str = ""
 
 
-def _diagnostics(t: np.ndarray, rho: np.ndarray, u: np.ndarray, h: float, nodes: slice,
-                 out: np.ndarray, rho_u: np.ndarray, sums: bool, diffs=None) -> np.ndarray:
-    """The Diagnostics columns per row, into out (rows, 7), using rho_u for rho*u
-    and |u|; the extrema are over the nodes, which must hold all values of the rows.
-    The mass and momentum sums are taken only with sums; with diffs to hold the
-    differences, each row's TV(rho) goes into out[:, 6], with the bits of
-    np.sum(np.abs(np.diff(row)))."""
+def _diagnostics(t: np.ndarray, rho: np.ndarray, u: np.ndarray, h: float, window: tuple[int, int],
+                 out: np.ndarray, rho_u: np.ndarray, abs_u: np.ndarray, sums: bool,
+                 diffs=None) -> np.ndarray:
+    """The Diagnostics columns per row, into out (rows, 7), with |u| in abs_u; the
+    extrema are over the nodes [lo, hi) = window, which must hold all values of the
+    rows.  With sums, the whole-row mass and momentum sums; rho_u must hold rho*u of
+    the state before the step of this window (a first call passes (0, n)): only the
+    window is multiplied, and an end run takes its end's product if that changed.
+    With diffs to hold the differences, each row's TV(rho) goes into out[:, 6], with
+    the bits of np.sum(np.abs(np.diff(row)))."""
+    lo, hi = window
     out[:, 0] = t
-    with np.errstate(all="ignore"):
-        if diffs is not None:
-            np.abs(np.subtract(rho[:, 1:], rho[:, :-1], out=diffs), out=diffs)
-            np.add.reduce(diffs, axis=-1, out=out[:, 6])
-        if sums:
-            np.add.reduce(rho, axis=-1, out=out[:, 1])
-            np.add.reduce(np.multiply(rho, u, out=rho_u), axis=-1, out=out[:, 2])
-            out[:, 1:3] *= h
-        np.minimum.reduce(rho[:, nodes], axis=-1, out=out[:, 3])
-        np.maximum.reduce(np.abs(u[:, nodes], out=rho_u[:, nodes]), axis=-1, out=out[:, 4])
-        np.maximum.reduce(rho[:, nodes], axis=-1, out=out[:, 5])
+    if diffs is not None:
+        np.abs(np.subtract(rho[:, 1:], rho[:, :-1], out=diffs), out=diffs)
+        np.add.reduce(diffs, axis=-1, out=out[:, 6])
+    if sums:
+        np.multiply(rho[:, lo:hi], u[:, lo:hi], out=rho_u[:, lo:hi])
+        if lo and rho_u[:, lo - 1].tobytes() != rho_u[:, lo].tobytes():
+            rho_u[:, :lo] = rho_u[:, lo:lo + 1]
+        if hi < rho.shape[-1] and rho_u[:, hi].tobytes() != rho_u[:, hi - 1].tobytes():
+            rho_u[:, hi:] = rho_u[:, hi - 1:hi]
+        np.add.reduce(rho, axis=-1, out=out[:, 1])
+        np.add.reduce(rho_u, axis=-1, out=out[:, 2])
+        out[:, 1:3] *= h
+    np.minimum.reduce(rho[:, lo:hi], axis=-1, out=out[:, 3])
+    np.maximum.reduce(np.abs(u[:, lo:hi], out=abs_u[:, lo:hi]), axis=-1, out=out[:, 4])
+    np.maximum.reduce(rho[:, lo:hi], axis=-1, out=out[:, 5])
     return out
 
 
@@ -357,11 +366,12 @@ def run_batch(initial: MeshState, model: GasModel, cfg: SchemeConfig, alphas, be
     rho = np.tile(initial.rho, (live.size, 1))
     u = np.tile(initial.u, (live.size, 1))
     t = np.full(live.size, initial.t)
-    work, rho_u, diffs = _Workspace(), np.empty_like(rho), np.empty_like(rho[:, 1:])
+    work, rho_u, abs_u, diffs = _Workspace(), *(np.empty_like(v) for v in (rho, rho, rho[:, 1:]))
     record, rec = np.empty((live.size, 7)), np.empty((live.size, _RECORD_STEPS, 7))
     snapshots = None if verdict_only else [[(initial.t, initial)] for _ in live]
     steps, window, sums = 0, (0, mesh.n), not verdict_only
-    rec[:, 0] = d = _diagnostics(t, rho, u, mesh.h, slice(None), record, rho_u, sums, diffs)
+    with np.errstate(all="ignore"):
+        rec[:, 0] = d = _diagnostics(t, rho, u, mesh.h, window, record, rho_u, abs_u, sums, diffs)
     t_stop = t_end - 1e-12 * max(1.0, abs(t_end))
     ok, keep = np.ones(live.size, dtype=bool), t < t_stop
 
@@ -383,35 +393,38 @@ def run_batch(initial: MeshState, model: GasModel, cfg: SchemeConfig, alphas, be
                              tv=np.append(tv[::record_every], tv[done:done + final]), note=note)
 
     while True:
-        if not keep.all():
-            for k in np.flatnonzero(~keep):
-                yield finish(k)
-            live, rho, u, t, dts, alphas = (v[keep] for v in (live, rho, u, t, dts, alphas))
-            if not live.size:
-                return
-        step_dt = np.minimum(dts, t_end - t)
-        if mesh.boundary is Boundary.OUTFLOW:     # a step changes no edge outside its window
-            window = _window(rho, u, max(window[0] - 1, 0), window[1] + 1)
-        step_batch(rho, u, model, cfg, mesh, alphas, step_dt[:, None], work=work,
-                   in_place=True, window=window)
-        t += step_dt
-        steps += 1
-        if steps == rec.shape[1]:                # full: double it for the running rows
-            grown = np.empty((rec.shape[0], 2 * steps, 7))
-            for r in live:
-                grown[r, :steps] = rec[r]
-            rec = grown
-        running, snap = t < t_stop, steps % record_every == 0   # TV: a snapshot is due, or an end
-        d = _diagnostics(t, rho, u, mesh.h, slice(*window), record[:live.size], rho_u[:live.size],
-                         sums, diffs[:live.size] if snap or not running.all() else None)
-        rec[live, steps] = d
-        # every density positive and every value finite; NaN fails min_rho > 0
-        ok = (d[:, 3] > 0.0) & (d[:, 5] < np.inf) & np.isfinite(d[:, 4])
-        if snap and not verdict_only:
-            for k in np.flatnonzero(ok):
-                tk = float(t[k])
-                snapshots[live[k]].append((tk, MeshState(mesh, rho[k], u[k], tk)))
-        keep = ok & running
+        with np.errstate(all="ignore"):          # steps until a row leaves: no yield in here
+            while keep.all():
+                step_dt = np.minimum(dts, t_end - t)
+                if mesh.boundary is Boundary.OUTFLOW:   # a step changes no edge outside its window
+                    window = _window(rho, u, max(window[0] - 1, 0), window[1] + 1)
+                step_batch(rho, u, model, cfg, mesh, alphas, step_dt[:, None], work=work,
+                           in_place=True, window=window)
+                t += step_dt
+                steps += 1
+                if steps == rec.shape[1]:            # full: double it for the running rows
+                    grown = np.empty((rec.shape[0], 2 * steps, 7))
+                    for r in live:
+                        grown[r, :steps] = rec[r]
+                    rec = grown
+                running, snap = t < t_stop, steps % record_every == 0   # TV: a snapshot, an end
+                d = _diagnostics(t, rho, u, mesh.h, window, record, rho_u, abs_u, sums,
+                                 diffs if snap or not running.all() else None)
+                rec[live, steps] = d
+                # every density positive and every value finite; NaN fails min_rho > 0
+                ok = (d[:, 3] > 0.0) & (d[:, 5] < np.inf) & np.isfinite(d[:, 4])
+                if snap and not verdict_only:
+                    for k in np.flatnonzero(ok):
+                        tk = float(t[k])
+                        snapshots[live[k]].append((tk, MeshState(mesh, rho[k], u[k], tk)))
+                keep = ok & running
+        for k in np.flatnonzero(~keep):
+            yield finish(k)
+        live, rho, u, rho_u, t, dts, alphas = (v[keep] for v in (live, rho, u, rho_u, t, dts, alphas))
+        if not live.size:
+            return
+        record, abs_u, diffs = (v[:live.size] for v in (record, abs_u, diffs))   # scratch
+        keep = keep[keep]                        # all True
 
 
 def run_simulation(initial: MeshState, model: GasModel, cfg: SchemeConfig,

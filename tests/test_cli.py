@@ -403,6 +403,15 @@ class TestStability:
         assert capsys.readouterr().err == f"error: [Errno 20] Not a directory: '{blocker}'\n"
         assert blocker.read_text(encoding="utf-8") == ""
 
+    def test_csv_path_that_is_a_directory_exit_one(self, tmp_path, capsys):
+        target = tmp_path / "x.csv"
+        target.mkdir()
+        assert main(["stability", "--alpha", "0.4", "--beta", "0.5", "--kappa", "1",
+                     "--csv", str(target)]) == 1
+        # refused before any write: the error names the target, and no temp file is left
+        assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: '{target}'\n"
+        assert os.listdir(tmp_path) == ["x.csv"] and os.listdir(target) == []
+
 
 class TestSweep:
     def _sweep_config(self, tmp_path, workers, out_name):

@@ -213,10 +213,10 @@ class TestClassify:
         v[:3] = 0.0, -0.0, 5e-324
         v[n // 2:n // 2 + 2] = 0.0, -0.0
         rows = np.stack((v, v[::-1], np.abs(v)))
-        diffs, out, rho_u = np.empty((4, n - 1)), np.empty((4, 7)), np.empty((4, n))
+        diffs, out, abs_u = np.empty((4, n - 1)), np.empty((4, 7)), np.empty((4, n))
         for batch in (rows, rows[1:]):
             k = len(batch)
-            d = _diagnostics(np.zeros(k), batch, batch, 1.0, slice(None), out[:k], rho_u[:k],
+            d = _diagnostics(np.zeros(k), batch, batch, 1.0, (0, n), out[:k], None, abs_u[:k],
                              False, diffs[:k])
             assert [x.hex() for x in d[:, 6].tolist()] == [
                 float(np.sum(np.abs(np.diff(w)))).hex() for w in batch]

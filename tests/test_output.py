@@ -133,6 +133,25 @@ def test_snapshot_csv_of_runs_equals_per_value_reference(tmp_path_factory, rho, 
         assert path.read_text(encoding="utf-8") == want
 
 
+# every float, with the awkward ones drawn often: both zeros, subnormals, infinities,
+# NaN and magnitudes near 1e±300
+_ANY_FLOATS = st.lists(st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -2.5e-320, math.inf, -math.inf, math.nan, 1e300,
+                     -1e-300, 1.7976931348623157e308, 2.2250738585072014e-308]),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)), max_size=60)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_ANY_FLOATS)
+@example([])
+def test_pixel_x_text_equals_the_per_value_format(values):
+    # the pixel-x text is one % format of the whole column, split on its newlines
+    frame = output._Frame(-0.0, 0.0, 1.0, 1.0, (0.0, 1.0), (0.0, 1.0))    # px(x) is x
+    px = frame.px(np.array(values, dtype=float)).tolist()
+    assert [repr(v) for v in px] == [repr(v) for v in values]
+    assert frame.x_text(values) == list(map("{:.2f},".format, px))
+
+
 @pytest.mark.parametrize("length", [8, 10, 0])
 def test_snapshot_csv_rejects_node_text_of_another_length(tmp_path, length):
     state = _awkward_state()

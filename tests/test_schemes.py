@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 from dataclasses import fields, replace
 from types import SimpleNamespace
 
@@ -27,7 +28,8 @@ from qgd1d import (
     step_batch,
 )
 from qgd1d import schemes
-from qgd1d.schemes import _half_mesh, _update, _window, _Workspace, run_batch
+from qgd1d.experiments import RiemannSetup, riemann_initial
+from qgd1d.schemes import _diagnostics, _half_mesh, _update, _window, _Workspace, run_batch
 from qgd1d.spectral import _recurrence
 
 MODEL = GasModel(p1=1.0, gamma=2.0)
@@ -864,6 +866,78 @@ def test_run_batch_takes_the_tv_of_long_rows_before_and_after_rows_leave(n):
     trajs = _run_batch_as_plain_runs(initial, [0.4, 0.6, 0.8], _betas_for_steps([2, 3, 5], 0.02),
                                      t_end=0.02, record_every=2)
     assert [(traj.steps, len(traj.tv)) for traj in trajs] == [(2, 2), (3, 3), (5, 4)]
+
+
+def _bits(v):
+    return np.asarray(v, dtype=float).view(np.int64)
+
+
+def test_diagnostics_multiplies_rho_u_only_over_its_window():
+    # rows whose nodes 0..lo+1 and hi-2..n-1 are end runs, as after a step of window
+    # (lo, hi); rho_u holds the runs' product at nodes lo-1 and hi and sentinels
+    # beyond, which only a whole-row product would overwrite
+    n, lo, hi, h = 40, 10, 30, 0.25
+    rng = np.random.default_rng(4)
+    rho, u = (np.concatenate([np.full((2, lo + 2), a), rng.uniform(0.5, 1.5, (2, hi - lo - 4)),
+                              np.full((2, n - hi + 2), b)], axis=1)
+              for a, b in ((1.0, 0.7), (0.1, -0.3)))
+    sentinel = np.frombuffer(bytes.fromhex("0123456789abcdef"), dtype=float)[0]
+    out, abs_u = np.empty((2, 7)), np.empty((2, n))
+    rho_u = np.full((2, n), sentinel)
+    rho_u[:, [lo - 1, hi]] = rho[:, [lo - 1, hi]] * u[:, [lo - 1, hi]]
+    _diagnostics(np.zeros(2), rho, u, h, (lo, hi), out, rho_u, abs_u, True)
+    assert (_bits(rho_u[:, :lo - 1]) == _bits(sentinel)).all()
+    assert (_bits(rho_u[:, hi + 1:]) == _bits(sentinel)).all()
+    assert np.array_equal(_bits(rho_u[:, lo - 1:hi + 1]), _bits(rho * u)[:, lo - 1:hi + 1])
+    # both end runs' product changed: each is rewritten, and the sums have whole-row bits
+    rho_u[:, [lo - 1, hi]] = sentinel
+    d = _diagnostics(np.zeros(2), rho, u, h, (lo, hi), out, rho_u, abs_u, True)
+    assert np.array_equal(_bits(rho_u), _bits(rho * u))
+    assert _hex(d[:, 1]) == _hex(np.add.reduce(rho, axis=-1) * h)
+    assert _hex(d[:, 2]) == _hex(np.add.reduce(rho * u, axis=-1) * h)
+
+
+def test_run_batch_sums_keep_whole_row_bits_as_an_end_run_drifts_and_rows_leave():
+    # the wide solve's drifting right run (rho 0.7, u 0.1): its far u moves by one
+    # ulp, so the run's rho*u changes outside the window; three rows complete at
+    # different steps and one overflows
+    mesh = Mesh(n=2500, h=0.0008, x_min=-1.0, boundary=Boundary.OUTFLOW)
+    initial = riemann_initial(RiemannSetup(rho_left=1.0, u_left=0.1, rho_right=0.7,
+                                           u_right=0.1, x_max=1.0, h=0.0008), mesh)
+    cfg = SchemeConfig(alpha=0.4, beta=0.45, alpha_s=4.0 / 3.0, c_ref=2.0176878258221596)
+    rows = dict(run_batch(initial, MODEL, cfg, [0.4] * 4, [0.45, 0.3, 0.2, 3.0], t_end=0.005))
+    assert [rows[r].overflow for r in range(4)] == [False, False, False, True]
+    assert len({traj.steps for traj in rows.values()}) == 4
+    assert any(state.u[-1] != 0.1 for _, state in rows[2].snapshots)
+    for traj in rows.values():
+        d = traj.diagnostics
+        assert len(traj.snapshots) == len(d.t) == traj.steps + 1
+        for k, (_, state) in enumerate(traj.snapshots):
+            assert d.mass[k].hex() == float(np.add.reduce(state.rho) * mesh.h).hex()
+            assert d.momentum[k].hex() == float(np.add.reduce(state.rho * state.u) * mesh.h).hex()
+
+
+def test_run_batch_yields_under_the_callers_floating_point_settings():
+    # the stepping segments between row exits silence floating-point errors, the
+    # yields do not: a subnormal right velocity makes rho*u underflow in the
+    # diagnostics of some steps and one row overflows, yet no warning escapes,
+    # and every yield sees the caller's settings
+    dam_break = _dam_break()
+    initial = MeshState(dam_break.mesh, dam_break.rho,
+                        np.where(dam_break.u == 0.0, 1e-310, dam_break.u))
+    cfg = SchemeConfig(alpha=0.4, beta=0.3, alpha_s=4.0 / 3.0, c_ref=1.5)
+    trajs = []
+    with warnings.catch_warnings(), np.errstate(all="warn"):
+        warnings.simplefilter("error")
+        caller = np.geterr()
+        for _, traj in run_batch(initial, MODEL, cfg, [0.4] * 4,
+                                 [*_betas_for_steps([20, 30, 45], 0.3), 5.0], t_end=0.3):
+            assert np.geterr() == caller
+            trajs.append(traj)
+        assert np.geterr() == caller
+    assert sorted((traj.steps, traj.overflow) for traj in trajs)[1:] == [
+        (20, False), (30, False), (45, False)]
+    assert sum(traj.overflow for traj in trajs) == 1
 
 
 @pytest.mark.parametrize("alphas,betas", [(0.4, 0.3), ([[0.4, 0.5]], [[0.3, 0.3]]),
