@@ -54,9 +54,11 @@ both ends of every row and one node of each run, whose new bits it writes over
 the runs where they change.  It compares bits, since values would join -0.0
 and 0.0.  A periodic wrap joins the two runs, so there it steps every node.
 The kernel's temporaries are flat runs of their rows at a pitch of w + 2 (see
-`_Workspace`), so that each pass is one 1-D ufunc call.
-`run_batch` (whose one-row case is `run_simulation`) steps in place on one
-`_Workspace`, carrying the window, and each row's rho*u, from step to step.
+`_Workspace`), so that each pass is one 1-D ufunc call, over two adjacent runs
+where both take it.  `run_batch` (whose one-row case is `run_simulation`) steps
+in place on one `_Workspace`, carrying each row's rho*u and the window from step
+to step: a step changes no edge outside its window, so only the edges at its
+ends are compared, and every edge only as the batch starts and as rows leave.
 Whole rows are read only by the mass and momentum sums of its per-step
 diagnostics, which a verdict-only run skips, and by the TV(rho) of the states
 it records; overflow is found from the diagnostics: min_rho > 0, max_rho < inf,
@@ -109,8 +111,9 @@ class _Workspace:
         self._block, self._shape, self._views = np.zeros(0), None, []
 
     def views(self, shape: tuple[int, ...]) -> tuple:
-        """The padded, half-mesh and node runs for node arrays of shape, and all
-        19 runs as one (19, ..., w + 2) array of their rows."""
+        """The padded, half-mesh and node runs for node arrays of shape, all 19 runs as
+        one (19, ..., w + 2) array of their rows, and the pairs (rho_p, u_p), (s rho, s u),
+        (j, (s rho) w_hat) and (a, b) each as one flat span, for one pass over both."""
         if shape != self._shape:
             *lead, w = shape
             size = math.prod(lead) * (w + 2)
@@ -118,7 +121,8 @@ class _Workspace:
                 self._block = np.zeros(max(19 * size, 2 * self._block.size))
             grid = self._block[:19 * size].reshape(19, *lead, w + 2)
             runs = list(grid.reshape(19, size))
-            self._shape, self._views = shape, (runs[:5], runs[5:17], runs[17:], grid)
+            spans = [self._block[k * size:(k + 2) * size] for k in (0, 5, 11, 17)]
+            self._shape, self._views = shape, (runs[:5], runs[5:17], runs[17:], grid, spans)
         return self._views
 
 
@@ -134,13 +138,12 @@ def _half_mesh(rho: np.ndarray, u: np.ndarray, model: GasModel, cfg: SchemeConfi
     where extra is what the momentum update adds beyond the fluxes: p(s rho) for
     the standard scheme and diff(h(rho)) for the enthalpy scheme.
     """
-    h, (padded, half, _, grid) = mesh.h, views
+    h, (padded, half, _, grid, spans) = mesh.h, views
     rho_p, u_p, q, tau, hp = padded
     srho, su, du, stau, pp_half, pi, j, srho_what, srho_w, x, y, dq = half
     _pad(rho, mesh.boundary, grid[0])
     _pad(u, mesh.boundary, grid[1])
-    _avg(rho_p, srho)
-    _avg(u_p, su)
+    _avg(spans[0], spans[1])                     # s rho and s u
     _diff(u_p, h, du)
     standard = cfg.scheme is SchemeKind.STANDARD
     full = cfg.regularization is Variant.FULL_QGD
@@ -185,45 +188,54 @@ def _update(rho: np.ndarray, u: np.ndarray, model: GasModel, cfg: SchemeConfig, 
             alpha, dt, work: _Workspace) -> None:
     """The update of the module docstring, ghosts at rho's and u's own ends, written
     over rho and u: past _pad the old state is read only through its padded copies."""
-    padded, _, (a, b), grid = views = work.views(rho.shape)
-    w, rho_p, a2, b2 = rho.shape[-1], grid[0], grid[17], grid[18]    # the runs as rows
+    (rho_p, u_p, q, _, _), half, (a, b), grid, spans = views = work.views(rho.shape)
+    w, standard = rho.shape[-1], cfg.scheme is SchemeKind.STANDARD
     with np.errstate(all="ignore"):
         j, pi, _, _, srho, su, extra = _half_mesh(rho, u, model, cfg, mesh, alpha, views)
-        _diff(j, mesh.h, a)
-        a2 *= dt
-        np.subtract(rho_p[..., 1:-1], a2[..., :w], out=rho)
-        j *= su                                  # the momentum flux; j is not read again
-        if cfg.scheme is SchemeKind.STANDARD:
-            j += extra
-        j -= pi
-        _diff(j, mesh.h, b)
-        if cfg.scheme is SchemeKind.ENTHALPY:
+        flux = np.multiply(j, su, out=half[7])   # the momentum flux, in the free run after j
+        if standard:
+            flux += extra
+        flux -= pi
+        _diff(spans[2], mesh.h, spans[3])        # node_diff of j into a, of the flux into b
+        if not standard:
             extra *= srho
-            b += _avg(extra, a)
-        b2 *= dt
-        np.multiply(padded[0][1:-1], padded[1][1:-1], out=a[:-2])   # rho u at the nodes
-        a -= b
-        np.divide(a2[..., :w], rho, out=u)
+            b += _avg(extra, pi)                 # pi is free past the flux
+        grid[17:] *= dt
+        np.subtract(grid[0][..., 1:-1], grid[17][..., :w], out=rho)
+        if not (standard and cfg.regularization is Variant.FULL_QGD):   # else q holds it
+            np.multiply(rho_p, u_p, out=q)       # rho u at the padded nodes
+        np.subtract(q[1:-1], b[:-2], out=a[:-2])
+        np.divide(grid[17][..., :w], rho, out=u)
 
 
-def _window(rho: np.ndarray, u: np.ndarray, a: int = 0, b: int | None = None) -> tuple[int, int]:
+def _window(rho: np.ndarray, u: np.ndarray) -> tuple[int, int]:
     """The outflow nodes [lo, hi) to step: from the node before the first edge
     (node pair) across which some row changes to two past the last edge; all n
-    if none does, or if some row changes across edge 0 or 1 and some across edge
-    n - 3 or n - 2.  Reads only nodes [a, b), whose end edges may change only at
-    the mesh's ends."""
+    if none does."""
     n = rho.shape[-1]
-    r, v = rho.reshape(-1, n)[:, a:b], u.reshape(-1, n)[:, a:b]
-    m = r.shape[1]
-    if ((r[:, 1:3].tobytes() != r[:, :2].tobytes() or v[:, 1:3].tobytes() != v[:, :2].tobytes())
-            and (r[:, -2:].tobytes() != r[:, -3:-1].tobytes()
-                 or v[:, -2:].tobytes() != v[:, -3:-1].tobytes())):
-        return a, a + m
-    r, v = r.view(np.int64), v.view(np.int64)
+    r, v = rho.reshape(-1, n).view(np.int64), u.reshape(-1, n).view(np.int64)
     moves = ((r[:, 1:] != r[:, :-1]) | (v[:, 1:] != v[:, :-1])).any(axis=0)
     if not moves.any():
         return 0, n
-    return a + max(int(moves.argmax()) - 1, 0), a + min(m + 1 - int(moves[::-1].argmax()), m)
+    return max(int(moves.argmax()) - 1, 0), min(n + 1 - int(moves[::-1].argmax()), n)
+
+
+def _next_window(rho: np.ndarray, u: np.ndarray, window: tuple[int, int]) -> tuple[int, int]:
+    """_window of (rows, n) arrays after a step of window (lo, hi), which leaves nodes
+    0..lo and hi-1..n-1 equal: it compares edges from lo and hi - 2 inward."""
+    r, v = rho.T, u.T                            # r[k] is node k of every row
+
+    def moves(e: int) -> bool:
+        return r[e].tobytes() != r[e + 1].tobytes() or v[e].tobytes() != v[e + 1].tobytes()
+
+    first, last = window[0], window[1] - 2
+    while first <= last and not moves(first):
+        first += 1
+    if first > last:
+        return 0, rho.shape[-1]
+    while not moves(last):
+        last -= 1
+    return max(first - 1, 0), min(last + 3, rho.shape[-1])
 
 
 def step_batch(rho: np.ndarray, u: np.ndarray, model: GasModel, cfg: SchemeConfig,
@@ -299,11 +311,11 @@ class Trajectory:
 
 
 def _diagnostics(t: np.ndarray, rho: np.ndarray, u: np.ndarray, h: float, window: tuple[int, int],
-                 out: np.ndarray, rho_u: np.ndarray, abs_u: np.ndarray, sums: bool,
+                 out: np.ndarray, rho_u: np.ndarray | None, abs_u: np.ndarray,
                  diffs=None) -> np.ndarray:
     """The Diagnostics columns per row, into out (rows, 7), with |u| in abs_u; the
     extrema are over the nodes [lo, hi) = window, which must hold all values of the
-    rows.  With sums, the whole-row mass and momentum sums; rho_u must hold rho*u of
+    rows.  With rho_u, the whole-row mass and momentum sums; rho_u must hold rho*u of
     the state before the step of this window (a first call passes (0, n)): only the
     window is multiplied, and an end run takes its end's product if that changed.
     With diffs to hold the differences, each row's TV(rho) goes into out[:, 6], with
@@ -313,7 +325,7 @@ def _diagnostics(t: np.ndarray, rho: np.ndarray, u: np.ndarray, h: float, window
     if diffs is not None:
         np.abs(np.subtract(rho[:, 1:], rho[:, :-1], out=diffs), out=diffs)
         np.add.reduce(diffs, axis=-1, out=out[:, 6])
-    if sums:
+    if rho_u is not None:
         np.multiply(rho[:, lo:hi], u[:, lo:hi], out=rho_u[:, lo:hi])
         if lo and rho_u[:, lo - 1].tobytes() != rho_u[:, lo].tobytes():
             rho_u[:, :lo] = rho_u[:, lo:lo + 1]
@@ -366,12 +378,13 @@ def run_batch(initial: MeshState, model: GasModel, cfg: SchemeConfig, alphas, be
     rho = np.tile(initial.rho, (live.size, 1))
     u = np.tile(initial.u, (live.size, 1))
     t = np.full(live.size, initial.t)
-    work, rho_u, abs_u, diffs = _Workspace(), *(np.empty_like(v) for v in (rho, rho, rho[:, 1:]))
+    work, abs_u, diffs = _Workspace(), np.empty_like(rho), np.empty_like(rho[:, 1:])
+    rho_u = None if verdict_only else np.empty_like(rho)     # kept only for the momentum sum
     record, rec = np.empty((live.size, 7)), np.empty((live.size, _RECORD_STEPS, 7))
     snapshots = None if verdict_only else [[(initial.t, initial)] for _ in live]
-    steps, window, sums = 0, (0, mesh.n), not verdict_only
+    steps, window, outflow = 0, (0, mesh.n), mesh.boundary is Boundary.OUTFLOW
     with np.errstate(all="ignore"):
-        rec[:, 0] = d = _diagnostics(t, rho, u, mesh.h, window, record, rho_u, abs_u, sums, diffs)
+        rec[:, 0] = d = _diagnostics(t, rho, u, mesh.h, window, record, rho_u, abs_u, diffs)
     t_stop = t_end - 1e-12 * max(1.0, abs(t_end))
     ok, keep = np.ones(live.size, dtype=bool), t < t_stop
 
@@ -393,11 +406,11 @@ def run_batch(initial: MeshState, model: GasModel, cfg: SchemeConfig, alphas, be
                              tv=np.append(tv[::record_every], tv[done:done + final]), note=note)
 
     while True:
+        if outflow:                              # a full scan as the batch starts and rows leave
+            window = _window(rho, u)
         with np.errstate(all="ignore"):          # steps until a row leaves: no yield in here
             while keep.all():
                 step_dt = np.minimum(dts, t_end - t)
-                if mesh.boundary is Boundary.OUTFLOW:   # a step changes no edge outside its window
-                    window = _window(rho, u, max(window[0] - 1, 0), window[1] + 1)
                 step_batch(rho, u, model, cfg, mesh, alphas, step_dt[:, None], work=work,
                            in_place=True, window=window)
                 t += step_dt
@@ -408,7 +421,7 @@ def run_batch(initial: MeshState, model: GasModel, cfg: SchemeConfig, alphas, be
                         grown[r, :steps] = rec[r]
                     rec = grown
                 running, snap = t < t_stop, steps % record_every == 0   # TV: a snapshot, an end
-                d = _diagnostics(t, rho, u, mesh.h, window, record, rho_u, abs_u, sums,
+                d = _diagnostics(t, rho, u, mesh.h, window, record, rho_u, abs_u,
                                  diffs if snap or not running.all() else None)
                 rec[live, steps] = d
                 # every density positive and every value finite; NaN fails min_rho > 0
@@ -418,9 +431,11 @@ def run_batch(initial: MeshState, model: GasModel, cfg: SchemeConfig, alphas, be
                         tk = float(t[k])
                         snapshots[live[k]].append((tk, MeshState(mesh, rho[k], u[k], tk)))
                 keep = ok & running
+                window = _next_window(rho, u, window) if outflow else window
         for k in np.flatnonzero(~keep):
             yield finish(k)
-        live, rho, u, rho_u, t, dts, alphas = (v[keep] for v in (live, rho, u, rho_u, t, dts, alphas))
+        live, rho, u, t, dts, alphas = (v[keep] for v in (live, rho, u, t, dts, alphas))
+        rho_u = None if verdict_only else rho_u[keep]
         if not live.size:
             return
         record, abs_u, diffs = (v[:live.size] for v in (record, abs_u, diffs))   # scratch

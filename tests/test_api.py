@@ -5,8 +5,10 @@ The names are pinned so that any addition or removal shows up in a diff."""
 import dataclasses
 import importlib
 import importlib.util
+import ast
 import pathlib
 import re
+import sys
 import types
 
 import numpy as np
@@ -61,6 +63,24 @@ def test_public_api_has_callers_outside_tests():
         if len(re.findall(rf"\b{name}\b", text)) <= len(re.findall(rf"\b(?:def|class) {name}\b", text)))
     assert unused == []
     assert set(_TEST_ONLY) <= names
+
+
+def test_src_imports_only_the_standard_library_and_numpy():
+    # the package depends on numpy alone: a speed-up may not bring a new dependency
+    allowed = set(sys.stdlib_module_names) | {"numpy"}
+    root = pathlib.Path(__file__).resolve().parents[1] / "src" / "qgd1d"
+    imported = {}
+    for path in sorted(root.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            imported.update((name.split(".")[0], path.name) for name in names)
+    assert "numpy" in imported
+    assert {name: where for name, where in imported.items() if name not in allowed} == {}
 
 
 def _members(owner) -> set:

@@ -217,7 +217,7 @@ class TestClassify:
         for batch in (rows, rows[1:]):
             k = len(batch)
             d = _diagnostics(np.zeros(k), batch, batch, 1.0, (0, n), out[:k], None, abs_u[:k],
-                             False, diffs[:k])
+                             diffs[:k])
             assert [x.hex() for x in d[:, 6].tolist()] == [
                 float(np.sum(np.abs(np.diff(w)))).hex() for w in batch]
 

@@ -29,7 +29,8 @@ from qgd1d import (
 )
 from qgd1d import schemes
 from qgd1d.experiments import RiemannSetup, riemann_initial
-from qgd1d.schemes import _diagnostics, _half_mesh, _update, _window, _Workspace, run_batch
+from qgd1d.schemes import (_diagnostics, _half_mesh, _next_window, _update, _window, _Workspace,
+                           run_batch)
 from qgd1d.spectral import _recurrence
 
 MODEL = GasModel(p1=1.0, gamma=2.0)
@@ -379,8 +380,10 @@ def test_step_batch_overflowing_row_is_silent():
 @pytest.mark.parametrize("kind", [SchemeKind.STANDARD, SchemeKind.ENTHALPY])
 @pytest.mark.parametrize("variant", [Variant.FULL_QGD, Variant.SIMPLIFIED_QHD])
 def test_step_batch_workspace_changes_nothing(kind, variant):
-    # one workspace reused across batches of other sizes gives exactly the
-    # steps of a fresh one, and a step never returns one of its buffers
+    # one workspace reused across batches of other sizes and widths gives exactly
+    # the steps of a fresh one, and a step never returns one of its buffers; the
+    # block is poisoned before each step, so no entry a step leaves unwritten,
+    # nor one that straddles two runs it passes over as one span, reaches a result
     cfg = SchemeConfig(alpha=1.0, beta=0.3, alpha_s=0.9, regularization=variant,
                        scheme=kind, c_ref=1.5)
     first = [periodic_state(n=24, h=0.05, seed=s) for s in range(5)]
@@ -392,8 +395,10 @@ def test_step_batch_workspace_changes_nothing(kind, variant):
     work = _Workspace()
     plain = step_batch(rho, u, MODEL, cfg, mesh, alphas, dts)
     plain2 = step_batch(rho2, u2, MODEL, cfg, mesh, alphas[:3], dts)
-    for _ in range(2):
+    for poison in (math.nan, math.inf, -math.inf):
+        work._block[:] = poison
         got = step_batch(rho, u, MODEL, cfg, mesh, alphas, dts, work=work)
+        work._block[:] = poison
         got2 = step_batch(rho2, u2, MODEL, cfg, mesh, alphas[:3], dts, work=work)
         for want, out in ((plain, got), (plain2, got2)):
             assert all(np.array_equal(w, g) for w, g in zip(want, out))
@@ -407,6 +412,17 @@ def test_step_batch_workspace_changes_nothing(kind, variant):
     got = step_batch(small.rho[None], small.u[None], MODEL, cfg, small.mesh, cfg.alpha, dts,
                      work=work)
     assert np.array_equal(got[0][0], alone.rho) and np.array_equal(got[1][0], alone.u)
+    # outflow windows of changing widths on the one block, poisoned between steps
+    outflow = Mesh(n=24, h=0.05, boundary=Boundary.OUTFLOW)
+    for k, poison in enumerate((math.nan, math.inf, -math.inf, math.nan)):
+        front = np.arange(24) < 8 + 3 * k
+        rho_o, u_o = np.stack([np.where(front, 1.0 + 0.1 * k, 0.7)] * 3), np.zeros((3, 24))
+        rho_o[:, 8:16 - k] += np.linspace(0.0, 0.2, 8 - k)
+        window = _window(rho_o, u_o)
+        want = step_batch(rho_o, u_o, MODEL, cfg, outflow, alphas[:3], dts)
+        work._block[:] = poison
+        got = step_batch(rho_o, u_o, MODEL, cfg, outflow, alphas[:3], dts, work=work, window=window)
+        assert all(np.array_equal(w.view(np.int64), g.view(np.int64)) for w, g in zip(want, got))
 
 
 @pytest.mark.parametrize("bad", [0.0, -0.2, math.nan])
@@ -761,6 +777,69 @@ def test_run_batch_equals_a_plain_whole_row_loop(batch, kind, variant):
         assert _hex(traj.tv) == [_hex(np.sum(np.abs(np.diff(rho)))) for _, rho, _ in snapshots]
 
 
+# values whose bits a window compares: both zeros, and NaNs of two payloads
+_EDGE_VALUES = np.array([0.7, 1.0, 0.0, -0.0, math.nan, math.nan])
+_EDGE_VALUES.view(np.int64)[-1] += 1
+
+
+def _as_stepped(rho, u, lo, hi):
+    """(rho, u, (lo, hi)) with nodes 0..lo and hi-1..n-1 of every row set to the
+    bits of nodes lo and hi-1, as a step of the window (lo, hi) leaves them."""
+    for v in (rho, u):
+        v[:, :lo] = v[:, lo:lo + 1]
+        v[:, hi:] = v[:, hi - 1:hi]
+    return rho, u, (lo, hi)
+
+
+@st.composite
+def _stepped_windows(draw):
+    """Rows after a step of some window (lo, hi) that _window could give (at
+    least three nodes wide), their nodes drawn from _EDGE_VALUES."""
+    n, rows = draw(st.integers(3, 10)), draw(st.integers(1, 3))
+    lo = draw(st.integers(0, n - 3))
+    hi = draw(st.integers(lo + 3, n))
+    pick = arrays(np.intp, (rows, n), elements=st.integers(0, _EDGE_VALUES.size - 1))
+    return _as_stepped(_EDGE_VALUES[draw(pick)], _EDGE_VALUES[draw(pick)], lo, hi)
+
+
+def _front(n, nodes):
+    """One row of n nodes: 0.7 but for 1.0 at the given nodes."""
+    rho = np.full((1, n), 0.7)
+    rho[0, nodes] = 1.0
+    return rho
+
+
+@settings(max_examples=300, deadline=None)
+@given(_stepped_windows())
+@example(_as_stepped(_front(12, [3, 8]), np.zeros((1, 12)), 3, 9))        # grows at both ends
+@example(_as_stepped(_front(12, [5]), np.zeros((1, 12)), 3, 9))           # no change
+@example(_as_stepped(_front(12, [5]), np.zeros((1, 12)), 4, 9))           # shrinks at the left
+@example(_as_stepped(np.full((2, 12), 0.7), np.zeros((2, 12)), 3, 9))     # turns uniform
+@example(_as_stepped(np.full((1, 12), 0.7), np.where(np.arange(12) == 5, -0.0, 0.0)[None],
+                     3, 9))                                              # -0.0 beside 0.0
+@example(_as_stepped(np.ones((1, 12)), _EDGE_VALUES[[4] * 6 + [5] * 6][None], 3, 9))   # NaNs
+@example(_as_stepped(_front(12, [0, 11]), np.zeros((1, 12)), 0, 12))      # both mesh ends
+def test_next_window_equals_the_full_scan_after_a_step(stepped):
+    # walking the edges inward from the ends of a step's window finds the
+    # window a scan of every edge of every row finds
+    rho, u, window = stepped
+    assert _next_window(rho, u, window) == _window(rho, u)
+
+
+def test_run_batch_scans_every_edge_only_as_it_starts_and_rows_leave(monkeypatch):
+    # between two steps where rows leave, the window is carried by its edges:
+    # the full scan runs as the batch starts and after each step where rows
+    # leave and others run on (an overflow, two rows at once, then one)
+    scans = []
+    monkeypatch.setattr(schemes, "_window", lambda rho, u: scans.append(len(rho)) or _window(rho, u))
+    cfg = SchemeConfig(alpha=0.4, beta=0.3, alpha_s=4.0 / 3.0, c_ref=1.5)
+    betas = [*_betas_for_steps([12, 12, 20, 33], 0.3), 5.0]
+    trajs = [traj for _, traj in run_batch(_dam_break(), MODEL, cfg, [0.4] * 5, betas, t_end=0.3)]
+    assert [(traj.steps + traj.overflow, traj.overflow) for traj in trajs] == [
+        (2, True), (12, False), (12, False), (20, False), (33, False)]
+    assert scans == [5, 4, 2, 1]
+
+
 def _hex(v):
     """The bits of a float, or of each float of an array, as hex strings."""
     return [x.hex() for x in v.tolist()] if np.ndim(v) else float(v).hex()
@@ -771,12 +850,21 @@ def _hex(v):
 def test_verdict_only_run_batch_keeps_the_verdicts_records(batch, kind, variant):
     # a verdict-only row has the steps, overflow flag, note, per-step t and
     # extrema and the TV record of the full run, bit for bit; it has no
-    # snapshots, mass or momentum
+    # snapshots, mass or momentum, and its batch keeps no rho*u
     initial, alphas, betas, t_end, record_every = batch
     cfg = SchemeConfig(alpha=0.4, beta=0.3, alpha_s=4.0 / 3.0, regularization=variant, scheme=kind)
     full = dict(run_batch(initial, MODEL, cfg, alphas, betas, t_end, record_every))
-    lean = dict(run_batch(initial, MODEL, cfg, alphas, betas, t_end, record_every,
-                          verdict_only=True))
+    rho_us = []
+
+    def diagnostics(*args):
+        rho_us.append(args[6])
+        return _diagnostics(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(schemes, "_diagnostics", diagnostics)
+        lean = dict(run_batch(initial, MODEL, cfg, alphas, betas, t_end, record_every,
+                              verdict_only=True))
+    assert rho_us and all(rho_u is None for rho_u in rho_us)
     assert sorted(lean) == sorted(full)
     for r, want in full.items():
         got = lean[r]
@@ -885,13 +973,13 @@ def test_diagnostics_multiplies_rho_u_only_over_its_window():
     out, abs_u = np.empty((2, 7)), np.empty((2, n))
     rho_u = np.full((2, n), sentinel)
     rho_u[:, [lo - 1, hi]] = rho[:, [lo - 1, hi]] * u[:, [lo - 1, hi]]
-    _diagnostics(np.zeros(2), rho, u, h, (lo, hi), out, rho_u, abs_u, True)
+    _diagnostics(np.zeros(2), rho, u, h, (lo, hi), out, rho_u, abs_u)
     assert (_bits(rho_u[:, :lo - 1]) == _bits(sentinel)).all()
     assert (_bits(rho_u[:, hi + 1:]) == _bits(sentinel)).all()
     assert np.array_equal(_bits(rho_u[:, lo - 1:hi + 1]), _bits(rho * u)[:, lo - 1:hi + 1])
     # both end runs' product changed: each is rewritten, and the sums have whole-row bits
     rho_u[:, [lo - 1, hi]] = sentinel
-    d = _diagnostics(np.zeros(2), rho, u, h, (lo, hi), out, rho_u, abs_u, True)
+    d = _diagnostics(np.zeros(2), rho, u, h, (lo, hi), out, rho_u, abs_u)
     assert np.array_equal(_bits(rho_u), _bits(rho * u))
     assert _hex(d[:, 1]) == _hex(np.add.reduce(rho, axis=-1) * h)
     assert _hex(d[:, 2]) == _hex(np.add.reduce(rho * u, axis=-1) * h)
