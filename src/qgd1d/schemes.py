@@ -48,18 +48,18 @@ along the last axis of (rows, n) node arrays, over the old state: the schemes
 are explicit and two-level, and the kernel reads the old state only through
 the padded copies it takes first.  It is three-point and has no reductions, so
 nodes whose (rho, u) and neighbours' are equal bit for bit step to equal bits.
-On an outflow mesh `step_batch`, the one public step (of one state or a batch
-of rows), therefore steps only a window: the nodes between the uniform runs at
-both ends of every row and one node of each run, whose new bits it writes over
-the runs where they change.  It compares bits, since values would join -0.0
-and 0.0.  A periodic wrap joins the two runs, so there it steps every node.
-The kernel's temporaries are flat runs of their rows at a pitch of w + 2 (see
-`_Workspace`), so that each pass is one 1-D ufunc call, over two adjacent runs
-where both take it.  `run_batch` (whose one-row case is `run_simulation`) steps
-in place on one `_Workspace`, carrying each row's rho*u and the window from step
-to step: a step changes no edge outside its window, so only the edges at its
-ends are compared, and every edge only as the batch starts and as rows leave.
-Whole rows are read only by the mass and momentum sums of its per-step
+`step_batch`, the one public step (of one state or a batch of rows), steps every
+node, or in place the window it is given.  So on an outflow mesh `run_batch`
+(whose one-row case is `run_simulation`) steps only the nodes between the uniform
+runs at both ends of every row and one node of each run.  After each step
+`_next_window` writes those two nodes over the runs where their bits change, keeps
+each row's rho*u, and walks the edges inward from the window's ends to the next
+window, which a `_window` scan of every edge seeds once per batch.  Both compare
+bits, since values would join -0.0 and 0.0.  A periodic wrap joins the two runs,
+so there the window is every node.  The kernel's temporaries are flat runs of
+their rows at a pitch of w + 2 (see `_Workspace`, one per batch), so that each
+pass is one 1-D ufunc call, over two adjacent runs where both take it.  Whole
+rows are read only by the mass and momentum sums of run_batch's per-step
 diagnostics, which a verdict-only run skips, and by the TV(rho) of the states
 it records; overflow is found from the diagnostics: min_rho > 0, max_rho < inf,
 finite max_abs_u.  It ignores floating-point errors between two row exits.
@@ -220,26 +220,8 @@ def _window(rho: np.ndarray, u: np.ndarray) -> tuple[int, int]:
     return max(int(moves.argmax()) - 1, 0), min(n + 1 - int(moves[::-1].argmax()), n)
 
 
-def _next_window(rho: np.ndarray, u: np.ndarray, window: tuple[int, int]) -> tuple[int, int]:
-    """_window of (rows, n) arrays after a step of window (lo, hi), which leaves nodes
-    0..lo and hi-1..n-1 equal: it compares edges from lo and hi - 2 inward."""
-    r, v = rho.T, u.T                            # r[k] is node k of every row
-
-    def moves(e: int) -> bool:
-        return r[e].tobytes() != r[e + 1].tobytes() or v[e].tobytes() != v[e + 1].tobytes()
-
-    first, last = window[0], window[1] - 2
-    while first <= last and not moves(first):
-        first += 1
-    if first > last:
-        return 0, rho.shape[-1]
-    while not moves(last):
-        last -= 1
-    return max(first - 1, 0), min(last + 3, rho.shape[-1])
-
-
 def step_batch(rho: np.ndarray, u: np.ndarray, model: GasModel, cfg: SchemeConfig,
-               mesh: Mesh, alpha, dt, *, work: _Workspace | None = None, in_place: bool = False,
+               mesh: Mesh, alpha, dt, *, work: _Workspace | None = None,
                window: tuple[int, int] | None = None) -> tuple[np.ndarray, np.ndarray]:
     """One step of cfg.scheme, by the updates of the module docstring, for the
     node arrays rho and u: one state (shape (n,)) or independent runs on one
@@ -250,37 +232,63 @@ def step_batch(rho: np.ndarray, u: np.ndarray, model: GasModel, cfg: SchemeConfi
     (rho, u) without checking them: a row whose density turned non-positive or
     a value non-finite has overflowed, and numpy raises no warning for it.  A
     non-positive input density raises NonPositiveDensity.  The result goes into
-    fresh arrays, or with in_place into rho and u, which must be writeable float
-    arrays (np.asarray returns them as they are) that share no memory.  window =
-    (lo, hi) skips the search for the nodes to step: the caller guarantees that in
-    every row nodes 0..lo+1 are equal bit for bit, and so are nodes hi-2..n-1
-    (only 0 <= lo < hi <= n is checked, and a periodic mesh takes only (0, n)).
+    fresh arrays, or with window = (lo, hi) into nodes lo..hi-1 of rho and u only,
+    which must be writeable float arrays (np.asarray returns them as they are) that
+    share no memory; the caller guarantees that in every row nodes 0..lo+1 are equal
+    bit for bit, and so are nodes hi-2..n-1 (only 0 <= lo < hi <= n is checked, and
+    a periodic mesh takes only (0, n)), and _next_window completes the end runs.
     work lends the kernel its temporaries (run_batch keeps one per batch); it
     never changes a result.
     """
-    rho_in, u_in = rho, u
-    rho, u = np.asarray(rho, dtype=float), np.asarray(u, dtype=float)
-    if in_place and (rho is not rho_in or u is not u_in or np.may_share_memory(rho, u)
-                     or not (rho.flags.writeable and u.flags.writeable)):
-        raise ValueError("in_place needs writeable float arrays rho and u that share no memory")
     n = mesh.n
+    if window is None:                           # a fresh step of every node
+        rho, u, window = np.array(rho, dtype=float), np.array(u, dtype=float), (0, n)
+    elif (any(np.asarray(v, dtype=float) is not v or not v.flags.writeable for v in (rho, u))
+          or np.may_share_memory(rho, u)):
+        raise ValueError("a window needs writeable float arrays rho and u that share no memory")
     if rho.shape[-1] != n or u.shape != rho.shape:
         raise LengthMismatch(f"expected rho and u of equal shape with last axis {n}, "
                              f"got {rho.shape} and {u.shape}")
-    periodic = mesh.boundary is Boundary.PERIODIC
-    lo, hi = window or ((0, n) if periodic else _window(rho, u))
-    if not 0 <= lo < hi <= n or periodic and (lo, hi) != (0, n):
+    lo, hi = window
+    if not 0 <= lo < hi <= n or mesh.boundary is Boundary.PERIODIC and (lo, hi) != (0, n):
         raise ValueError(f"window {window}: need 0 <= lo < hi <= {n}, and (0, {n}) if periodic")
     _check_density(rho[..., lo:hi])
-    if not in_place:
-        rho, u = rho.copy(), u.copy()
     _update(rho[..., lo:hi], u[..., lo:hi], model, cfg, mesh, alpha, dt, work or _Workspace())
-    for v in (rho, u):                           # an end run takes its new bits where they change
-        if lo and v[..., lo - 1].tobytes() != v[..., lo].tobytes():
-            v[..., :lo] = v[..., lo:lo + 1]
-        if hi < n and v[..., hi].tobytes() != v[..., hi - 1].tobytes():
-            v[..., hi:] = v[..., hi - 1:hi]
     return rho, u
+
+
+def _next_window(rho: np.ndarray, u: np.ndarray, rho_u: np.ndarray | None,
+                 window: tuple[int, int], periodic: bool) -> tuple[int, int]:
+    """Complete a step_batch of window (lo, hi) on (rows, n) arrays; returns the next window.
+    Nodes lo and hi-1 go over the end runs where their bits changed, in rho_u too (if given)
+    with rho*u over the window, so nodes 0..lo and hi-1..n-1 are equal; then the walk from
+    edge lo and edge hi - 2 inward to the first edge (node pair) across which some row
+    changes finds _window of the rows or of any subset.  A periodic mesh keeps its window."""
+    (lo, hi), n = window, rho.shape[-1]
+    r, v = rho.T, u.T                            # r[k] is node k of every row
+
+    def moves(e: int) -> bool:
+        return r[e].tobytes() != r[e + 1].tobytes() or v[e].tobytes() != v[e + 1].tobytes()
+
+    if rho_u is not None:
+        np.multiply(rho[:, lo:hi], u[:, lo:hi], out=rho_u[:, lo:hi])
+    carried = [a for a in (rho, u, rho_u) if a is not None]
+    if lo and moves(lo - 1):
+        for a in carried:
+            a[:, :lo] = a[:, lo:lo + 1]
+    if hi < n and moves(hi - 1):
+        for a in carried:
+            a[:, hi:] = a[:, hi - 1:hi]
+    if periodic:
+        return window
+    first, last = lo, hi - 2
+    while first <= last and not moves(first):
+        first += 1
+    if first > last:
+        return 0, n
+    while not moves(last):
+        last -= 1
+    return max(first - 1, 0), min(last + 3, n)
 
 
 @dataclass
@@ -313,24 +321,16 @@ class Trajectory:
 def _diagnostics(t: np.ndarray, rho: np.ndarray, u: np.ndarray, h: float, window: tuple[int, int],
                  out: np.ndarray, rho_u: np.ndarray | None, abs_u: np.ndarray,
                  diffs=None) -> np.ndarray:
-    """The Diagnostics columns per row, into out (rows, 7), with |u| in abs_u; the
-    extrema are over the nodes [lo, hi) = window, which must hold all values of the
-    rows.  With rho_u, the whole-row mass and momentum sums; rho_u must hold rho*u of
-    the state before the step of this window (a first call passes (0, n)): only the
-    window is multiplied, and an end run takes its end's product if that changed.
-    With diffs to hold the differences, each row's TV(rho) goes into out[:, 6], with
-    the bits of np.sum(np.abs(np.diff(row)))."""
+    """The Diagnostics columns per row, into out (rows, 7), with |u| in abs_u; the extrema
+    are over the nodes [lo, hi) = window, which must hold all values of the rows.  With
+    rho_u (rho*u), the whole-row mass and momentum sums; with diffs to hold the differences,
+    each row's TV(rho), with the bits of np.sum(np.abs(np.diff(row))), in out[:, 6]."""
     lo, hi = window
     out[:, 0] = t
     if diffs is not None:
         np.abs(np.subtract(rho[:, 1:], rho[:, :-1], out=diffs), out=diffs)
         np.add.reduce(diffs, axis=-1, out=out[:, 6])
     if rho_u is not None:
-        np.multiply(rho[:, lo:hi], u[:, lo:hi], out=rho_u[:, lo:hi])
-        if lo and rho_u[:, lo - 1].tobytes() != rho_u[:, lo].tobytes():
-            rho_u[:, :lo] = rho_u[:, lo:lo + 1]
-        if hi < rho.shape[-1] and rho_u[:, hi].tobytes() != rho_u[:, hi - 1].tobytes():
-            rho_u[:, hi:] = rho_u[:, hi - 1:hi]
         np.add.reduce(rho, axis=-1, out=out[:, 1])
         np.add.reduce(rho_u, axis=-1, out=out[:, 2])
         out[:, 1:3] *= h
@@ -379,12 +379,13 @@ def run_batch(initial: MeshState, model: GasModel, cfg: SchemeConfig, alphas, be
     u = np.tile(initial.u, (live.size, 1))
     t = np.full(live.size, initial.t)
     work, abs_u, diffs = _Workspace(), np.empty_like(rho), np.empty_like(rho[:, 1:])
-    rho_u = None if verdict_only else np.empty_like(rho)     # kept only for the momentum sum
     record, rec = np.empty((live.size, 7)), np.empty((live.size, _RECORD_STEPS, 7))
     snapshots = None if verdict_only else [[(initial.t, initial)] for _ in live]
-    steps, window, outflow = 0, (0, mesh.n), mesh.boundary is Boundary.OUTFLOW
+    steps, periodic = 0, mesh.boundary is Boundary.PERIODIC
     with np.errstate(all="ignore"):
-        rec[:, 0] = d = _diagnostics(t, rho, u, mesh.h, window, record, rho_u, abs_u, diffs)
+        rho_u = None if verdict_only else rho * u     # kept only for the momentum sum
+        rec[:, 0] = d = _diagnostics(t, rho, u, mesh.h, (0, mesh.n), record, rho_u, abs_u, diffs)
+    window = (0, mesh.n) if periodic else _window(rho, u)   # the one scan of every edge
     t_stop = t_end - 1e-12 * max(1.0, abs(t_end))
     ok, keep = np.ones(live.size, dtype=bool), t < t_stop
 
@@ -405,14 +406,13 @@ def run_batch(initial: MeshState, model: GasModel, cfg: SchemeConfig, alphas, be
         return r, Trajectory(states, Diagnostics(*columns), overflow=overflow, steps=done,
                              tv=np.append(tv[::record_every], tv[done:done + final]), note=note)
 
-    while True:
-        if outflow:                              # a full scan as the batch starts and rows leave
-            window = _window(rho, u)
+    while live.size:
         with np.errstate(all="ignore"):          # steps until a row leaves: no yield in here
             while keep.all():
                 step_dt = np.minimum(dts, t_end - t)
                 step_batch(rho, u, model, cfg, mesh, alphas, step_dt[:, None], work=work,
-                           in_place=True, window=window)
+                           window=window)
+                window = _next_window(rho, u, rho_u, window, periodic)
                 t += step_dt
                 steps += 1
                 if steps == rec.shape[1]:            # full: double it for the running rows
@@ -431,14 +431,12 @@ def run_batch(initial: MeshState, model: GasModel, cfg: SchemeConfig, alphas, be
                         tk = float(t[k])
                         snapshots[live[k]].append((tk, MeshState(mesh, rho[k], u[k], tk)))
                 keep = ok & running
-                window = _next_window(rho, u, window) if outflow else window
         for k in np.flatnonzero(~keep):
             yield finish(k)
         live, rho, u, t, dts, alphas = (v[keep] for v in (live, rho, u, t, dts, alphas))
         rho_u = None if verdict_only else rho_u[keep]
-        if not live.size:
-            return
         record, abs_u, diffs = (v[:live.size] for v in (record, abs_u, diffs))   # scratch
+        window = _next_window(rho, u, None, window, periodic)   # the rows left, from the carried window
         keep = keep[keep]                        # all True
 
 

@@ -6,6 +6,7 @@ import dataclasses
 import importlib
 import importlib.util
 import ast
+import inspect
 import pathlib
 import re
 import sys
@@ -37,6 +38,13 @@ def test_public_names_are_pinned():
     names = sorted(name for name, value in vars(qgd1d).items()
                    if not name.startswith("_") and not isinstance(value, types.ModuleType))
     assert names == PUBLIC_NAMES
+
+
+def test_step_batch_keyword_options_are_pinned():
+    # the one per-step call takes only the workspace it borrows and the window of
+    # the run loop: a mode flag added beside them shows up here
+    params = inspect.signature(qgd1d.step_batch).parameters.values()
+    assert [p.name for p in params if p.kind is inspect.Parameter.KEYWORD_ONLY] == ["work", "window"]
 
 
 # public names that only tests call, each with the reason it stays

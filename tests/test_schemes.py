@@ -494,18 +494,35 @@ def _signed_zero_runs(order=1):
 @example((_signed_zero_runs(-1), Mesh(n=40, h=0.05, boundary=Boundary.OUTFLOW), 0.4, 0.01),
          SchemeKind.ENTHALPY, Variant.SIMPLIFIED_QHD)
 def test_step_batch_equals_the_update_of_every_node(case, kind, variant):
-    # step_batch steps only the nodes between the end runs of an outflow mesh;
-    # NaN lands on the nodes where stepping all nodes puts it, and every other
-    # node gets its bits, zero signs included.  A NaN's own sign is left out:
-    # numpy's add and multiply of +NaN and -NaN return one operand's NaN in
-    # their vector loop and the other's in its scalar tail, so it depends on
-    # where the window starts
+    # a step of the window _window finds, completed by _next_window, steps only
+    # the nodes between the end runs of an outflow mesh; NaN lands on the nodes
+    # where stepping all nodes puts it, and every other node gets its bits, zero
+    # signs included
     (rho, u), mesh, alpha, dt = case
     cfg = SchemeConfig(alpha=1.0, beta=0.3, alpha_s=0.9, regularization=variant, scheme=kind,
                        c_ref=1.5)
     want = rho.copy(), u.copy()                  # the kernel over the whole mesh
     _update(*want, MODEL, cfg, mesh, alpha, dt, _Workspace())
-    got = step_batch(rho, u, MODEL, cfg, mesh, alpha, dt)
+    _assert_bits_but_nans(want, _windowed_step(rho, u, mesh, cfg, alpha, dt))
+
+
+def _windowed_step(rho, u, mesh, cfg, alpha, dt):
+    """As run_batch steps: step_batch of the window _window finds (all of a
+    periodic mesh), in place on copies of rho and u, then _next_window."""
+    rho, u = rho.copy(), u.copy()
+    rows = rho.reshape(-1, mesh.n), u.reshape(-1, mesh.n)
+    periodic = mesh.boundary is Boundary.PERIODIC
+    window = (0, mesh.n) if periodic else _window(*rows)
+    step_batch(rho, u, MODEL, cfg, mesh, alpha, dt, window=window)
+    _next_window(*rows, None, window, periodic)
+    return rho, u
+
+
+def _assert_bits_but_nans(want, got):
+    """Every array of got has the bits of want's, but for NaN, compared by position:
+    numpy's add and multiply of two NaNs (+NaN and -NaN, or two payloads) return
+    one operand's NaN in their vector loop and the other's in its scalar tail, so
+    which NaN a node gets depends on where a pass starts."""
     for w, g in zip(want, got):
         assert g.shape == w.shape
         nan = np.isnan(w)
@@ -518,22 +535,26 @@ def test_step_batch_equals_the_update_of_every_node(case, kind, variant):
 @example((_signed_zero_runs(), Mesh(n=40, h=0.05, boundary=Boundary.OUTFLOW), 0.4, 0.01),
          SchemeKind.STANDARD, Variant.FULL_QGD)
 def test_step_batch_in_place_and_window_give_the_fresh_bits(case, kind, variant):
-    # a step in place, and one given the window it would find itself, write
-    # every node with the bits of a fresh step, which leaves its inputs as they were
+    # a step of the window (0, n) writes in place every node with the bits of a
+    # fresh step, which leaves its inputs as they were; one of the window _window
+    # finds writes only its nodes, and with _next_window gives the fresh step
     (rho, u), mesh, alpha, dt = case
     cfg = SchemeConfig(alpha=1.0, beta=0.3, alpha_s=0.9, regularization=variant, scheme=kind,
                        c_ref=1.5)
     before = rho.copy(), u.copy()
     want = step_batch(rho, u, MODEL, cfg, mesh, alpha, dt)
     assert all(np.array_equal(b.view(np.int64), v.view(np.int64)) for b, v in zip(before, (rho, u)))
-    window = (0, mesh.n) if mesh.boundary is Boundary.PERIODIC else _window(rho, u)
     in_place = rho.copy(), u.copy()
-    outs = [step_batch(*in_place, MODEL, cfg, mesh, alpha, dt, in_place=True),
-            step_batch(rho, u, MODEL, cfg, mesh, alpha, dt, window=window)]
-    assert all(o is i for o, i in zip(outs[0], in_place))
-    for got in outs:
-        for w, g in zip(want, got):
-            assert np.array_equal(w.view(np.int64), g.view(np.int64))
+    got = step_batch(*in_place, MODEL, cfg, mesh, alpha, dt, window=(0, mesh.n))
+    assert all(g is i for g, i in zip(got, in_place))
+    assert all(np.array_equal(w.view(np.int64), g.view(np.int64)) for w, g in zip(want, got))
+    if mesh.boundary is Boundary.OUTFLOW:
+        lo, hi = _window(rho, u)
+        got = step_batch(*before, MODEL, cfg, mesh, alpha, dt, window=(lo, hi))
+        outside = (np.arange(mesh.n) < lo) | (np.arange(mesh.n) >= hi)
+        for b, g in zip((rho, u), got):
+            assert np.array_equal(b[..., outside].view(np.int64), g[..., outside].view(np.int64))
+    _assert_bits_but_nans(want, _windowed_step(rho, u, mesh, cfg, alpha, dt))
 
 
 @pytest.mark.parametrize("boundary, case, window", [
@@ -546,9 +567,9 @@ def test_step_batch_in_place_and_window_give_the_fresh_bits(case, kind, variant)
         "in-place-read-only", "in-place-non-positive", "window-empty", "window-negative",
         "window-past-n", "window-on-periodic"])
 def test_step_batch_rejects_a_bad_in_place_or_window(boundary, case, window):
-    # in place takes only writeable float64 arrays that share no memory, and a
-    # window is checked against 0 <= lo < hi <= n (all of the mesh when
-    # periodic); a rejected step writes nothing
+    # a window takes only writeable float64 arrays that share no memory, and is
+    # checked against 0 <= lo < hi <= n (all of the mesh when periodic); a
+    # rejected step writes nothing
     mesh = Mesh(n=16, h=0.1, boundary=boundary)
     cfg = SchemeConfig(alpha=0.4, beta=0.3, alpha_s=1.0, c_ref=1.5)
     block, u = np.ones((2, 17)), np.zeros((2, 16))
@@ -564,12 +585,12 @@ def test_step_batch_rejects_a_bad_in_place_or_window(boundary, case, window):
             "non-positive": (non_positive, u), None: (rho, u)}[case]
     before = [np.array(v) for v in args]
     with pytest.raises(NonPositiveDensity if case == "non-positive" else ValueError):
-        step_batch(*args, MODEL, cfg, mesh, 0.4, 0.01, in_place=True, window=window)
+        step_batch(*args, MODEL, cfg, mesh, 0.4, 0.01, window=window or (0, 16))
     assert all(np.array_equal(np.asarray(v), b) for v, b in zip(args, before))
 
 
 def test_step_batch_in_place_copies_no_row():
-    # in place on a warmed workspace and given its window, as in run_batch, a step
+    # in place on a workspace warmed by a step of its window, as in run_batch, a step
     # of a 25 000-node Riemann row whose front spans some 500 nodes allocates
     # less than one row
     n = 25_000
@@ -580,10 +601,10 @@ def test_step_batch_in_place_copies_no_row():
     lo, hi = _window(rho, u)
     assert 400 < hi - lo < 600
     work = _Workspace()
-    step_batch(rho, u, MODEL, cfg, mesh, 0.4, 1e-6, work=work, in_place=True)
+    step_batch(rho, u, MODEL, cfg, mesh, 0.4, 1e-6, work=work, window=(lo, hi))
     tracemalloc.start()
     try:
-        step_batch(rho, u, MODEL, cfg, mesh, 0.4, 1e-6, work=work, in_place=True, window=(lo, hi))
+        step_batch(rho, u, MODEL, cfg, mesh, 0.4, 1e-6, work=work, window=(lo, hi))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -784,22 +805,38 @@ _EDGE_VALUES.view(np.int64)[-1] += 1
 
 def _as_stepped(rho, u, lo, hi):
     """(rho, u, (lo, hi)) with nodes 0..lo and hi-1..n-1 of every row set to the
-    bits of nodes lo and hi-1, as a step of the window (lo, hi) leaves them."""
+    bits of nodes lo and hi-1, as a step of the window (lo, hi) and _next_window
+    leave them."""
     for v in (rho, u):
         v[:, :lo] = v[:, lo:lo + 1]
         v[:, hi:] = v[:, hi - 1:hi]
     return rho, u, (lo, hi)
 
 
+def _old_runs(rho, u, lo, hi):
+    """(rho, u, (lo, hi)) with nodes 0..lo-1 and hi..n-1 of every row set to the bits
+    of nodes 0 and n-1, as a step of the window (lo, hi) leaves them: the end runs
+    keep their bits from before the step and only nodes lo..hi-1 are new."""
+    for v in (rho, u):
+        v[:, :lo] = v[:, :1]
+        v[:, hi:] = v[:, -1:]
+    return rho, u, (lo, hi)
+
+
+def _edge_rows(draw, n, rows):
+    """(rho, u) of the given shape, each node drawn from _EDGE_VALUES."""
+    pick = arrays(np.intp, (rows, n), elements=st.integers(0, _EDGE_VALUES.size - 1))
+    return _EDGE_VALUES[draw(pick)], _EDGE_VALUES[draw(pick)]
+
+
 @st.composite
-def _stepped_windows(draw):
-    """Rows after a step of some window (lo, hi) that _window could give (at
-    least three nodes wide), their nodes drawn from _EDGE_VALUES."""
+def _windowed_steps(draw):
+    """Rows as a step of some window (lo, hi) that _window could give (at least
+    three nodes wide) leaves them, their nodes drawn from _EDGE_VALUES."""
     n, rows = draw(st.integers(3, 10)), draw(st.integers(1, 3))
     lo = draw(st.integers(0, n - 3))
     hi = draw(st.integers(lo + 3, n))
-    pick = arrays(np.intp, (rows, n), elements=st.integers(0, _EDGE_VALUES.size - 1))
-    return _as_stepped(_EDGE_VALUES[draw(pick)], _EDGE_VALUES[draw(pick)], lo, hi)
+    return _old_runs(*_edge_rows(draw, n, rows), lo, hi)
 
 
 def _front(n, nodes):
@@ -809,27 +846,75 @@ def _front(n, nodes):
     return rho
 
 
+def _sentinel():
+    """A float whose bits no product of the tests' values has."""
+    return np.frombuffer(bytes.fromhex("0123456789abcdef"), dtype=float)[0]
+
+
 @settings(max_examples=300, deadline=None)
-@given(_stepped_windows())
-@example(_as_stepped(_front(12, [3, 8]), np.zeros((1, 12)), 3, 9))        # grows at both ends
-@example(_as_stepped(_front(12, [5]), np.zeros((1, 12)), 3, 9))           # no change
-@example(_as_stepped(_front(12, [5]), np.zeros((1, 12)), 4, 9))           # shrinks at the left
-@example(_as_stepped(np.full((2, 12), 0.7), np.zeros((2, 12)), 3, 9))     # turns uniform
-@example(_as_stepped(np.full((1, 12), 0.7), np.where(np.arange(12) == 5, -0.0, 0.0)[None],
-                     3, 9))                                              # -0.0 beside 0.0
-@example(_as_stepped(np.ones((1, 12)), _EDGE_VALUES[[4] * 6 + [5] * 6][None], 3, 9))   # NaNs
-@example(_as_stepped(_front(12, [0, 11]), np.zeros((1, 12)), 0, 12))      # both mesh ends
+@given(_windowed_steps())
+@example(_old_runs(_front(12, [3, 8]), np.zeros((1, 12)), 3, 9))          # grows at both ends
+@example(_old_runs(_front(12, [5]), np.zeros((1, 12)), 3, 9))             # no change
+@example(_old_runs(_front(12, [5]), np.zeros((1, 12)), 4, 9))             # shrinks at the left
+@example(_old_runs(np.full((2, 12), 0.7), np.zeros((2, 12)), 3, 9))       # turns uniform
+@example(_old_runs(np.full((1, 12), 0.7), np.where(np.arange(12) == 5, -0.0, 0.0)[None],
+                   3, 9))                                                # -0.0 beside 0.0
+@example(_old_runs(np.full((1, 12), 0.7), np.where(np.arange(12) < 3, -0.0, 0.0)[None],
+                   3, 9))                                                # a run's zero turns +0.0
+@example(_old_runs(np.full((1, 12), 0.7), np.where(np.arange(12) == 8, 0.1, 0.0)[None],
+                   3, 9))                                                # only u's right run moves
+@example(_old_runs(np.ones((1, 12)), _EDGE_VALUES[[4] * 6 + [5] * 6][None], 3, 9))   # NaNs
+@example(_old_runs(_front(12, [0, 11]), np.zeros((1, 12)), 0, 12))        # both mesh ends
 def test_next_window_equals_the_full_scan_after_a_step(stepped):
-    # walking the edges inward from the ends of a step's window finds the
-    # window a scan of every edge of every row finds
+    # after a step of a window, _next_window writes its end nodes over the end runs
+    # where their bits changed, keeps rho*u on every node (taking it over the window
+    # and those end runs only), and walking the edges inward from the window's ends
+    # finds the window a scan of every edge of every row finds; without rho*u it
+    # does the same
     rho, u, window = stepped
-    assert _next_window(rho, u, window) == _window(rho, u)
+    want = _as_stepped(rho.copy(), u.copy(), *window)[:2]
+    lo, hi = window
+    rho_u = rho * u                              # the end runs' product from before the step
+    rho_u[:, lo:hi] = _sentinel()
+    bare = rho.copy(), u.copy()
+    assert _next_window(rho, u, rho_u, window, False) == _window(*want)
+    assert _next_window(*bare, None, window, False) == _window(*want)
+    for got in ((rho, u), bare):
+        assert all(np.array_equal(_bits(w), _bits(g)) for w, g in zip(want, got))
+    _assert_bits_but_nans([want[0] * want[1]], [rho_u])
 
 
-def test_run_batch_scans_every_edge_only_as_it_starts_and_rows_leave(monkeypatch):
-    # between two steps where rows leave, the window is carried by its edges:
-    # the full scan runs as the batch starts and after each step where rows
-    # leave and others run on (an overflow, two rows at once, then one)
+@st.composite
+def _rows_leaving(draw):
+    """Rows of _EDGE_VALUES with end runs of their own lengths, and a mask of the
+    rows that stay (none, some or all)."""
+    n, rows = draw(st.integers(3, 10)), draw(st.integers(1, 4))
+    rho, u = _edge_rows(draw, n, rows)
+    for r in range(rows):
+        lo = draw(st.integers(0, n - 1))
+        _as_stepped(rho[r:r + 1], u[r:r + 1], lo, draw(st.integers(lo + 1, n)))
+    return rho, u, np.array(draw(st.lists(st.booleans(), min_size=rows, max_size=rows)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_rows_leaving())
+@example((np.concatenate([_front(12, [2, 9]), _front(12, [5])]), np.zeros((2, 12)),
+          np.array([False, True])))                                      # the wide row leaves
+def test_next_window_walks_to_the_full_scan_of_the_rows_left(leaving):
+    # as rows leave, the walk from the window of all rows finds the window a scan
+    # of the rows left finds, and writes nothing
+    rho, u, keep = leaving
+    window = _window(rho, u)
+    rho, u = rho[keep], u[keep]
+    before = rho.copy(), u.copy()
+    assert _next_window(rho, u, None, window, False) == _window(rho, u)
+    assert all(np.array_equal(_bits(b), _bits(v)) for b, v in zip(before, (rho, u)))
+
+
+def test_run_batch_scans_every_edge_only_as_it_starts(monkeypatch):
+    # the window is carried by its edges, through steps and as rows leave: one full
+    # scan seeds it as the batch starts, though rows leave after an overflow, two
+    # at once and then one
     scans = []
     monkeypatch.setattr(schemes, "_window", lambda rho, u: scans.append(len(rho)) or _window(rho, u))
     cfg = SchemeConfig(alpha=0.4, beta=0.3, alpha_s=4.0 / 3.0, c_ref=1.5)
@@ -837,7 +922,7 @@ def test_run_batch_scans_every_edge_only_as_it_starts_and_rows_leave(monkeypatch
     trajs = [traj for _, traj in run_batch(_dam_break(), MODEL, cfg, [0.4] * 5, betas, t_end=0.3)]
     assert [(traj.steps + traj.overflow, traj.overflow) for traj in trajs] == [
         (2, True), (12, False), (12, False), (20, False), (33, False)]
-    assert scans == [5, 4, 2, 1]
+    assert scans == [5]
 
 
 def _hex(v):
@@ -960,27 +1045,27 @@ def _bits(v):
     return np.asarray(v, dtype=float).view(np.int64)
 
 
-def test_diagnostics_multiplies_rho_u_only_over_its_window():
+def test_next_window_multiplies_rho_u_only_over_its_window():
     # rows whose nodes 0..lo+1 and hi-2..n-1 are end runs, as after a step of window
-    # (lo, hi); rho_u holds the runs' product at nodes lo-1 and hi and sentinels
-    # beyond, which only a whole-row product would overwrite
+    # (lo, hi) that left both runs as they were; rho_u holds sentinels outside the
+    # window, which only a whole-row product would overwrite
     n, lo, hi, h = 40, 10, 30, 0.25
     rng = np.random.default_rng(4)
     rho, u = (np.concatenate([np.full((2, lo + 2), a), rng.uniform(0.5, 1.5, (2, hi - lo - 4)),
                               np.full((2, n - hi + 2), b)], axis=1)
               for a, b in ((1.0, 0.7), (0.1, -0.3)))
-    sentinel = np.frombuffer(bytes.fromhex("0123456789abcdef"), dtype=float)[0]
-    out, abs_u = np.empty((2, 7)), np.empty((2, n))
-    rho_u = np.full((2, n), sentinel)
-    rho_u[:, [lo - 1, hi]] = rho[:, [lo - 1, hi]] * u[:, [lo - 1, hi]]
-    _diagnostics(np.zeros(2), rho, u, h, (lo, hi), out, rho_u, abs_u)
-    assert (_bits(rho_u[:, :lo - 1]) == _bits(sentinel)).all()
-    assert (_bits(rho_u[:, hi + 1:]) == _bits(sentinel)).all()
-    assert np.array_equal(_bits(rho_u[:, lo - 1:hi + 1]), _bits(rho * u)[:, lo - 1:hi + 1])
-    # both end runs' product changed: each is rewritten, and the sums have whole-row bits
-    rho_u[:, [lo - 1, hi]] = sentinel
-    d = _diagnostics(np.zeros(2), rho, u, h, (lo, hi), out, rho_u, abs_u)
+    rho_u = np.full((2, n), _sentinel())
+    assert _next_window(rho, u, rho_u, (lo, hi), False) == (lo, hi)
+    assert (_bits(rho_u[:, :lo]) == _bits(_sentinel())).all()
+    assert (_bits(rho_u[:, hi:]) == _bits(_sentinel())).all()
+    assert np.array_equal(_bits(rho_u[:, lo:hi]), _bits(rho * u)[:, lo:hi])
+    # the step changed node lo's rho and node hi-1's u: both runs and their rho*u
+    # are rewritten, and the sums of _diagnostics have whole-row bits
+    rho[:, lo], u[:, hi - 1] = 1.1, -0.2
+    rho_u[:, lo:hi] = _sentinel()
+    _next_window(rho, u, rho_u, (lo, hi), False)
     assert np.array_equal(_bits(rho_u), _bits(rho * u))
+    d = _diagnostics(np.zeros(2), rho, u, h, (lo, hi), np.empty((2, 7)), rho_u, np.empty((2, n)))
     assert _hex(d[:, 1]) == _hex(np.add.reduce(rho, axis=-1) * h)
     assert _hex(d[:, 2]) == _hex(np.add.reduce(rho * u, axis=-1) * h)
 
@@ -1007,8 +1092,8 @@ def test_run_batch_sums_keep_whole_row_bits_as_an_end_run_drifts_and_rows_leave(
 
 def test_run_batch_yields_under_the_callers_floating_point_settings():
     # the stepping segments between row exits silence floating-point errors, the
-    # yields do not: a subnormal right velocity makes rho*u underflow in the
-    # diagnostics of some steps and one row overflows, yet no warning escapes,
+    # yields do not: a subnormal right velocity makes the carried rho*u underflow
+    # on some steps and one row overflows, yet no warning escapes,
     # and every yield sees the caller's settings
     dam_break = _dam_break()
     initial = MeshState(dam_break.mesh, dam_break.rho,
@@ -1058,6 +1143,35 @@ def test_run_rejects_a_zero_time_step(monkeypatch, beta, c_ref):
     state = periodic_state(n=16, h=0.1, seed=2)
     with pytest.raises(ConfigError):
         run_simulation(state, MODEL, SchemeConfig(alpha=0.4, beta=beta, c_ref=c_ref), t_end=0.1)
+
+
+def test_run_batch_narrows_the_window_as_a_wider_row_leaves(monkeypatch):
+    # a 4-ulp dip in u spreads over nodes 1..7 in a step of beta 0.3 but stays on
+    # nodes 2..6 in one of beta 0.1; once the first row leaves, after one step, the
+    # second steps on its own narrower window
+    steps = []
+
+    def step(rho, u, *args, window, **kwargs):
+        steps.append((len(rho), window, _window(rho, u)))
+        return step_batch(rho, u, *args, window=window, **kwargs)
+
+    monkeypatch.setattr(schemes, "step_batch", step)
+    u = np.full(9, 0.1)
+    u[4] -= 4 * (np.nextafter(0.1, 1.0) - 0.1)
+    initial = MeshState(Mesh(n=9, h=0.05, boundary=Boundary.OUTFLOW), np.full(9, 0.7), u)
+    cfg = SchemeConfig(alpha=0.4, beta=0.3, alpha_s=4.0 / 3.0, c_ref=1.5)
+    rows = dict(run_batch(initial, MODEL, cfg, [0.4, 0.4], [0.3, 0.1], t_end=0.3 * 0.05 / 1.5))
+    assert (rows[0].steps, rows[1].steps) == (1, 3)
+    assert [(n, window) for n, window, _ in steps][:2] == [(2, (2, 7)), (1, (2, 7))]
+    assert all(window == scan for _, window, scan in steps)
+
+
+@pytest.mark.parametrize("initial", [_dam_break(), periodic_state(n=16, h=0.1, seed=2)],
+                         ids=["outflow", "periodic"])
+def test_run_batch_of_no_rows_yields_nothing(monkeypatch, initial):
+    _bounded_steps(monkeypatch)
+    cfg = SchemeConfig(alpha=0.4, beta=0.4)
+    assert list(run_batch(initial, GasModel(), cfg, [], [], t_end=0.1)) == []
 
 
 def test_run_batch_rejects_a_non_finite_time_step():
