@@ -31,10 +31,10 @@ sqrt(max(max_j (H^2 - beta^2 e0), 0)) and of max(|H| + beta sqrt(e0)) over
 the samples with e0 >= 0, which is exact: where e0 < 0 the real form
 |H| = sqrt(fl(H*H)) never exceeds sqrt(fl(H^2) - E).
 
-Scans read the distinct half of the wavenumber grid, with a few alphas
-stacked as rows and each beta a scalar, or the whole grid for the worst
-mode.  Norm checks step all rows as one batch and return every report: a
-failed check is a report whose passed is False, not an exception.
+Scans read the distinct half of the wavenumber grid, with alphas stacked as
+rows and each beta a scalar, or the whole grid for the worst mode.  Norm
+checks step all rows as one batch and return every report: a failed check
+is a report whose passed is False, not an exception.
 """
 
 from __future__ import annotations
@@ -48,7 +48,8 @@ import numpy as np
 from .errors import InvalidKappa
 from .regularization import Variant
 
-_SCAN_ROWS = 6  # alphas per scan chunk: working rows of 6 x 2 049 float64, 96 KB each
+_SCAN_ENTRIES = 6 * 2049  # samples per scan block: 96 KB working arrays, 6 alphas at 4 096 samples
+_STABLE_PEAK = 1.0 + 1e-10  # a scan maximum at or below this counts as stable
 
 
 @dataclass(frozen=True)
@@ -125,16 +126,22 @@ def _norms(b: float, c, d, s2, h, h2, norm, scratch):
     np.add(norm, np.multiply(d, b, out=scratch), out=norm)
 
 
+def _block_rows(n_samples: int) -> int:
+    """Alphas per scan block: the rows of n_samples//2 + 1 samples that fit _SCAN_ENTRIES, at least one."""
+    return max(1, _SCAN_ENTRIES // (n_samples // 2 + 1))
+
+
 def _scan_peaks(alphas, betas, kappa: float, n_samples: int):
     """Maxima of the spectral radius and of the top Gram eigenvalue over
     xi_j = 2*pi*j/n_samples, as (alphas, betas) arrays, on the distinct
     j = 0..n_samples//2 (G(-xi) only flips the sign of w2, which neither form
-    sees).  Stacks the columns of _SCAN_ROWS alphas at a time and takes each
-    beta as a scalar; each entry equals a one-point call bit for bit."""
+    sees).  Stacks the columns of _block_rows(n_samples) alphas at a time and
+    takes each beta as a scalar; each entry equals a one-point call bit for bit."""
     betas = np.asarray(betas, dtype=float).tolist()
     radius, norm_max, complex_max = np.empty((3, len(alphas), len(betas)))
-    for i in range(0, len(alphas), _SCAN_ROWS):
-        c, d, s = _columns(alphas[i:i + _SCAN_ROWS], kappa, n_samples, n_samples // 2 + 1)
+    block = _block_rows(n_samples)
+    for i in range(0, len(alphas), block):
+        c, d, s = _columns(alphas[i:i + block], kappa, n_samples, n_samples // 2 + 1)
         s2, e0 = np.tile(s * s, (len(c), 1)), (d - s) * (d + s)  # stacked s2: a broadcast row is 2x slower
         root = np.sqrt(e0, out=np.full_like(e0, -np.inf), where=e0 >= 0.0)  # -inf drops out of max
         h, h2, norm, t = np.empty((4, *c.shape))
@@ -164,7 +171,11 @@ def spectral_radius_scan(params: LinearizedParams, n_samples: int = 4096) -> Spe
         raise ValueError("n_samples must be an integer")
     if n_samples < 64:
         raise ValueError("n_samples must be >= 64")
-    radius, gram = _scan_peaks([params.alpha], [params.beta], params.kappa, n_samples)
+    with np.errstate(all="ignore"):
+        radius, gram = _scan_peaks([params.alpha], [params.beta], params.kappa, n_samples)
+    if not (math.isfinite(radius[0, 0]) and math.isfinite(gram[0, 0])):
+        raise ValueError(f"the spectral scan overflows float64 at alpha={params.alpha:g}, "
+                         f"beta={params.beta:g}, kappa={params.kappa:g}")
     return SpectrumScan(max_radius=float(radius[0, 0]), max_gram=float(gram[0, 0]))
 
 
@@ -261,12 +272,35 @@ def stability_verdict(params: LinearizedParams, n_samples: int = 4096) -> Stabil
     )
 
 
+_ORACLE_SAMPLES, _SUBGRID_SAMPLES = 4096, 64  # the oracle's grid and its every 64th sample
+
+
+def _oracle_peaks(alphas, betas, kappa: float):
+    """Scan maxima whose verdicts "peak <= _STABLE_PEAK" equal those of the
+    _ORACLE_SAMPLES scan.  The subgrid's xi, c, d and s are the full grid's bits
+    (2*pi*j and the division by the sample count change by powers of two), so a
+    subgrid maximum above _STABLE_PEAK means a full one above it.  Each block of
+    alphas is rescanned in full for its betas up to the last one the subgrid
+    leaves stable by either maximum."""
+    radius, gram = _scan_peaks(alphas, betas, kappa, _SUBGRID_SAMPLES)
+    block = _block_rows(_ORACLE_SAMPLES)
+    for i in range(0, len(alphas), block):
+        rows = slice(i, i + block)
+        undecided = np.flatnonzero(np.minimum(radius[rows], gram[rows]).min(axis=0) <= _STABLE_PEAK)
+        if undecided.size:
+            stop = undecided[-1] + 1
+            radius[rows, :stop], gram[rows, :stop] = _scan_peaks(alphas[rows], betas[:stop], kappa,
+                                                                 _ORACLE_SAMPLES)
+    return radius, gram
+
+
 def oracle_mismatches() -> tuple[int, list[str]]:
     """Compare the closed-form necessary and criterion verdicts with the scan
     on a 30 x 32 (alpha, beta) grid for seven (kappa, variant) cases.
 
     A condition is skipped where beta lies within 1e-6 of its threshold;
-    elsewhere "beta <= threshold" must equal "scan maximum <= 1 + 1e-10".
+    elsewhere "beta <= threshold" must equal "scan maximum <= 1 + 1e-10" on
+    the 4 096-sample grid, as _oracle_peaks decides it for each distinct kappa.
     Returns the number of points checked and one line per disagreement.
     """
     alphas = np.round(np.arange(1, 31) * 0.05, 10)
@@ -274,17 +308,16 @@ def oracle_mismatches() -> tuple[int, list[str]]:
     cases = [(k, Variant.FULL_QGD) for k in (1.0, 7.0 / 3.0, 4.0)]
     cases += [(k, Variant.SIMPLIFIED_QHD) for k in (0.0, 0.5, 1.0, 2.0)]
     kappas = dict.fromkeys(kappa for kappa, _ in cases)  # the symbol does not read the variant
-    peaks = {kappa: _scan_peaks(alphas, betas, kappa, 4096) for kappa in kappas}
+    peaks = {kappa: _oracle_peaks(alphas, betas, kappa) for kappa in kappas}
     mismatches = []
     for kappa, variant in cases:
-        for alpha, *alpha_peaks in zip(alphas, *peaks[kappa]):
-            thresholds = (necessary_beta_max(float(alpha), kappa, variant),
-                          max_stable_beta(float(alpha), kappa, variant))
-            bad = [(np.abs(betas - threshold) > 1e-6) & ((betas <= threshold) != (peak <= 1.0 + 1e-10))
-                   for threshold, peak in zip(thresholds, alpha_peaks)]
-            for i, which in zip(*np.nonzero(np.transpose(bad))):  # by beta, then by name
-                mismatches.append(f"{('necessary', 'criterion')[which]} mismatch at alpha={alpha} "
-                                  f"beta={betas[i]} kappa={kappa} {variant.value}")
+        thresholds = np.array([(necessary_beta_max(a, kappa, variant), max_stable_beta(a, kappa, variant))
+                               for a in alphas.tolist()])[:, None, :]  # (alpha, 1, name)
+        stable = np.stack(peaks[kappa], axis=-1) <= _STABLE_PEAK   # (alpha, beta, name)
+        bad = (np.abs(betas[:, None] - thresholds) > 1e-6) & ((betas[:, None] <= thresholds) != stable)
+        for i, j, which in zip(*np.nonzero(bad)):  # by alpha, by beta, then by name
+            mismatches.append(f"{('necessary', 'criterion')[which]} mismatch at alpha={alphas[i]} "
+                              f"beta={betas[j]} kappa={kappa} {variant.value}")
     return len(cases) * alphas.size * betas.size, mismatches
 
 

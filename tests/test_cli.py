@@ -377,6 +377,15 @@ class TestStability:
         assert main(argv) == 1
         assert f"{name} must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("alpha, kappa", [("1e308", "1"), ("1", "1e308"), ("1e200", "1")])
+    def test_overflowing_scan_exit_one(self, alpha, kappa, capsys):
+        # RuntimeWarnings are errors under the suite's filterwarnings
+        assert main(["stability", "--alpha", alpha, "--beta", "0.5", "--kappa", kappa]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (f"error: the spectral scan overflows float64 at alpha={float(alpha):g}, "
+                       f"beta=0.5, kappa={float(kappa):g}\n")
+
     def test_negative_alpha_s_exit_one(self, capsys):
         assert main(["stability", "--alpha", "0.5", "--beta", "0.5", "--alpha-s", "-1"]) == 1
         assert capsys.readouterr().err == "error: alpha_s must be >= 0\n"

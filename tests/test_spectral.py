@@ -321,8 +321,10 @@ class TestScan:
         expect = {col: [[spectral_radius_scan(LinearizedParams(alpha, float(b), *col), 512)
                          for b in betas] for alpha in alphas] for col in columns}
         monkeypatch.setattr(spectral, "np", _NanEmptyNumpy())
-        for rows in range(1, len(alphas) + 1):  # short last chunks included
-            monkeypatch.setattr(spectral, "_SCAN_ROWS", rows)
+        for rows in range(1, len(alphas) + 1):  # short last blocks included
+            # 257 samples per row at 512; a remainder short of one more row adds none
+            monkeypatch.setattr(spectral, "_SCAN_ENTRIES", rows * 257 + 256)
+            assert spectral._block_rows(512) == rows
             for kappa, variant in columns:
                 radii, grams = spectral._scan_peaks(alphas, betas, kappa, 512)
                 scans = expect[kappa, variant]
@@ -344,18 +346,52 @@ class TestScan:
                 assert (radii[i, j], grams[i, j]) == _reference_scan(params, n_samples, distinct_only=True)
 
     def test_oracle_scans_each_kappa_once(self, monkeypatch):
+        # each kappa once on the 64-sample subgrid, then 6-alpha blocks at 4 096
+        # samples for the betas up to the last one the subgrid leaves undecided
         calls = []
 
         def scan(alphas, betas, kappa, n_samples, scan_peaks=spectral._scan_peaks):
-            calls.append((kappa, list(alphas)))
+            calls.append((n_samples, kappa, list(alphas), len(betas)))
             return scan_peaks(alphas, betas, kappa, n_samples)
 
         monkeypatch.setattr(spectral, "_scan_peaks", scan)
         checked, _ = spectral.oracle_mismatches()
         assert checked == 6720
         alphas = np.round(np.arange(1, 31) * 0.05, 10).tolist()
-        assert sorted(kappa for kappa, _ in calls) == [0.0, 0.5, 1.0, 2.0, 7.0 / 3.0, 4.0]
-        assert all(scanned == alphas for _, scanned in calls)
+        subgrid = [call for call in calls if call[0] == 64]
+        full = [call for call in calls if call[0] == 4096]
+        assert len(subgrid) + len(full) == len(calls)
+        assert sorted(kappa for _, kappa, _, _ in subgrid) == [0.0, 0.5, 1.0, 2.0, 7.0 / 3.0, 4.0]
+        assert all(scanned == alphas and n_betas == 32 for _, _, scanned, n_betas in subgrid)
+        assert sum(len(scanned) * n_betas for *_, scanned, n_betas in subgrid) == 5760
+        assert all(len(scanned) == 6 and scanned[0] in alphas[::6] for _, _, scanned, _ in full)
+        assert sum(len(scanned) * n_betas for *_, scanned, n_betas in full) == 1734
+
+    @pytest.mark.parametrize("kappa", [0.0, 0.5, 1.0, 2.0, 7.0 / 3.0, 4.0])
+    def test_subgrid_columns_are_every_64th_full_column(self, kappa):
+        # at the oracle's alphas: the subgrid's c, d and s are the full grid's bits
+        sub, full = spectral._SUBGRID_SAMPLES, spectral._ORACLE_SAMPLES
+        assert (sub, full % sub) == (64, 0)
+        alphas = np.round(np.arange(1, 31) * 0.05, 10)
+        for got, want in zip(spectral._columns(alphas, kappa, sub, sub // 2 + 1),
+                             spectral._columns(alphas, kappa, full, full // 2 + 1)):
+            assert got.tobytes() == np.ascontiguousarray(want[..., ::full // sub]).tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(_linearized_params(), min_size=1, max_size=14), st.floats(0.0, 1e-3))
+    @example([LinearizedParams(0.05, 0.1001, 7.0 / 3.0)], 0.0)                # subgrid misses the Gram peak
+    @example([LinearizedParams(0.05, 0.16683333333333333, 7.0 / 3.0)], 0.0)  # and the radius peak
+    def test_oracle_decisions_equal_the_full_scan(self, points, shift):
+        # the first point's kappa; its positive thresholds raised by shift give
+        # betas just past them, where the subgrid's verdict can differ from the full one
+        kappa, variant = points[0].kappa, points[0].variant
+        thresholds = [f(points[0].alpha, kappa, variant) for f in (necessary_beta_max, max_stable_beta)]
+        alphas = np.array([p.alpha for p in points])
+        betas = np.array([t * (1.0 + shift) for t in thresholds if t > 0.0] + [p.beta for p in points[::-1]])
+        got = spectral._oracle_peaks(alphas, betas, kappa)
+        want = spectral._scan_peaks(alphas, betas, kappa, 4096)
+        for g, w in zip(got, want):
+            assert ((g <= 1.0 + 1e-10) == (w <= 1.0 + 1e-10)).all()
 
     def test_oracle_mismatches_equal_scalar_loop(self, monkeypatch):
         # thresholds raised by 20 % make both conditions disagree with the scan
@@ -376,6 +412,12 @@ class TestScan:
         # threshold at alpha=0.4, kappa=7/3 is 15/28 ~ 0.5357
         assert spectral_radius_scan(LinearizedParams(0.4, 0.55, 7.0 / 3.0), 4096).max_gram > 1.0 + 1e-6
         assert spectral_radius_scan(LinearizedParams(0.4, 0.52, 7.0 / 3.0), 4096).max_gram <= 1.0 + 1e-12
+
+    @pytest.mark.parametrize("alpha, kappa", [(1e308, 1.0), (1.0, 1e308), (1e200, 1.0)])
+    def test_overflowing_scan_rejected(self, alpha, kappa):
+        # 1e200: H^2 overflows although the radius is about 1e200
+        with pytest.raises(ValueError, match="the spectral scan overflows float64"):
+            spectral_radius_scan(LinearizedParams(alpha, 0.5, kappa))
 
     def test_minimum_sample_count_enforced(self):
         with pytest.raises(ValueError):
