@@ -2,7 +2,8 @@
 formatting is deterministic, so identical inputs give byte-identical files.
 The bulk float CSVs are formatted a run of equal rows at a time (_run_texts), the
 small tables a row at a time (write_table).  Neither quotes: no float repr, "" (for
-None), int, True/False or enum name holds a comma, a quote or a line break."""
+None), int, True/False or enum name holds a comma, a quote or a line break.  An SVG
+polyline keeps only the two ends of each horizontal run of its points (_Frame.polyline)."""
 
 from __future__ import annotations
 
@@ -139,18 +140,15 @@ class _Frame:
         )
         return parts
 
-    def x_text(self, xs) -> list[str]:
-        """The pixel-x text of each point of xs, with the comma that follows it."""
-        # px and py map whole float arrays by the same operations as one point; %.2f is {:.2f}
-        px = self.px(np.asarray(xs, dtype=float)).tolist()
-        return ("%.2f,\n" * len(px) % tuple(px)).split("\n")[:-1]
-
-    def polyline(self, xs, ys, dash: str = "", x_text=None) -> str:
-        """A run of equal pixel-y values at a time (_run_texts).  x_text, if given, is
-        x_text(xs) of a frame with the same x mapping."""
-        texts = _run_texts(x_text or self.x_text(xs), "{:.2f} ".format,  # "x,y x,y ..."
-                           self.py(np.asarray(ys, dtype=float)))
-        pts = "".join(texts)[:-1]
+    def polyline(self, xs, ys, dash: str = "") -> str:
+        """Of each run of points whose pixel y is equal bit for bit and whose pixel x
+        ascends, only the two ends: the points between lie on the segment joining them."""
+        with np.errstate(all="ignore"):              # a value past the float range maps to inf or nan
+            px, py = self.px(np.asarray(xs, dtype=float)), self.py(np.asarray(ys, dtype=float))
+        y, keep = py.view(np.int64), np.ones(py.size, dtype=bool)
+        keep[1:-1] = ~((y[:-2] == y[1:-1]) & (y[1:-1] == y[2:]) & (px[:-2] <= px[1:-1]) & (px[1:-1] <= px[2:]))
+        xy = np.stack((px[keep], py[keep]), axis=1).ravel().tolist()
+        pts = ("%.2f,%.2f " * (len(xy) // 2) % tuple(xy))[:-1]    # %.2f formats as {:.2f} does
         dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
         return f'<polyline points="{pts}" fill="none" stroke="black" stroke-width="1.5"{dash_attr}/>'
 
@@ -205,12 +203,10 @@ def profile_svg(state: MeshState, title: str) -> str:
     x = state.mesh.nodes
     panels = [("rho", state.rho), ("u", state.u)]
     body = [f'<text x="320" y="20" font-size="14" text-anchor="middle">{title}</text>']
-    x_text = None
     for idx, (label, values) in enumerate(panels):
         lo, hi = float(np.min(values)), float(np.max(values))
         pad = 0.05 * (hi - lo or 1.0)
         frame = _Frame(70, 40 + idx * 290, 520, 240, (float(x[0]), float(x[-1])), (lo - pad, hi + pad))
         body.extend(frame.axes("x", label))
-        x_text = x_text or frame.x_text(x)       # the panels' x mappings are equal
-        body.append(frame.polyline(x, values, x_text=x_text))
+        body.append(frame.polyline(x, values))
     return _svg_document(660, 640, body)

@@ -417,8 +417,7 @@ def run_batch(initial: MeshState, model: GasModel, cfg: SchemeConfig, alphas, be
                 steps += 1
                 if steps == rec.shape[1]:            # full: double it for the running rows
                     grown = np.empty((rec.shape[0], 2 * steps, 7))
-                    for r in live:
-                        grown[r, :steps] = rec[r]
+                    grown[live, :steps] = rec[live]
                     rec = grown
                 running, snap = t < t_stop, steps % record_every == 0   # TV: a snapshot, an end
                 d = _diagnostics(t, rho, u, mesh.h, window, record, rho_u, abs_u,

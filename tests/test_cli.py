@@ -286,20 +286,20 @@ class TestSolve:
                              verdict.completed, traj.steps)])
 
     @pytest.mark.parametrize("overrides, digest", [
-        ([], "12ccf45908ae13ae899d8aaddeedd4d2"),
-        (["scheme.kind=standard"], "e7646500bdcb98e049105449263210f8"),
+        ([], "d7e00f0a6ad77c3ba2b91679b0717494"),
+        (["scheme.kind=standard"], "4a4b954af3ffa96100ffa6e5112290fa"),
         (["gas.gamma=1.4"], "c106e44ce6986c5ddfab70355c6b7995"),
-        (["gas.r0=0.05"], "d4953d9a58267195b41d8e095e69aec3"),
+        (["gas.r0=0.05"], "d8e45c44140f810d8d8961a7ec386824"),
         (["scheme.kind=standard", "gas.gamma=1.4", "scheme.regularization=qhd"],
-         "6068a1cd84e5d4e7f53d36babef82032"),
+         "321f4a533c9ea2395e47e71259957219"),
         # 2 500 nodes, where the step window leaves out most of the mesh
-        ([*_WIDE], "2f967be593878f5c2ee87613b698a9b6"),
-        ([*_WIDE, "scheme.kind=standard"], "81e4cb2765d2bdb15a3dd34ebb7b4d9d"),
+        ([*_WIDE], "9f9e81229daabb99a75f78ca0482debc"),
+        ([*_WIDE, "scheme.kind=standard"], "b50c32198108ae73054dc22d9451c346"),
         # the far u of the right run drifts by one ulp on the first step
         ([*_WIDE, "experiment.rho_right=0.7", "experiment.u_right=0.1"],
-         "98bb8b985e5910bf7edbe4f1a106d191"),
+         "489b6093c0ec0098ffbb57a126fe58ed"),
         ([*_WIDE, "scheme.kind=standard", "experiment.u_left=-0.0", "experiment.u_right=-0.0"],
-         "b9b7e50f5a006911821ed68a739a8c32"),
+         "debdd091ea60018f768a0e35ee7c0742"),
     ], ids=["demo", "standard", "gamma-1.4", "r0-0.05", "standard-gamma-1.4-qhd", "wide",
             "wide-standard", "wide-drifting-run", "wide-standard-negative-zero-u"])
     def test_demo_solve_outputs_are_byte_identical_to_the_reference(self, tmp_path, overrides,
@@ -309,7 +309,7 @@ class TestSolve:
 
     def test_solve_large_outputs_are_byte_identical_to_the_reference(self, tmp_path):
         # 24 000-node end runs, written a run of equal rows at a time
-        assert _solve_digest(tmp_path, _SOLVE_LARGE) == (10, "be75d59f20f531009b33d0e2d58e99d8")
+        assert _solve_digest(tmp_path, _SOLVE_LARGE) == (10, "7891973032e9691762286376f47ffc1a")
 
     def test_overflow_run_exit_two(self, tmp_path, capsys):
         path = _fast_config(tmp_path, beta=6.0)

@@ -4,6 +4,9 @@ import csv
 import io
 import math
 import os
+import pathlib
+import struct
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -22,10 +25,11 @@ from qgd1d import (
     SchemeKind,
     Trajectory,
     Variant,
+    riemann_initial,
     run_simulation,
     sweep_region,
 )
-from qgd1d import output
+from qgd1d import cli, output
 from qgd1d.errors import LengthMismatch
 from qgd1d.output import profile_svg, region_map_svg, write_diagnostics_csv, write_snapshot_csv
 
@@ -52,11 +56,52 @@ def _reference_csv(header, rows):
     return buf.getvalue()
 
 
-def _reference_polyline(frame, xs, ys, dash="", x_text=None):
-    """_Frame.polyline one point at a time through px and py (x_text unread)."""
-    pts = " ".join(f"{frame.px(x):.2f},{frame.py(y):.2f}" for x, y in zip(xs, ys))
+def _reference_polyline(frame, xs, ys, dash=""):
+    """Every point of the polyline, one at a time through px and py."""
+    return _polyline_of([(frame.px(x), frame.py(y)) for x, y in zip(xs, ys)], dash)
+
+
+def _run_ends_polyline(frame, xs, ys, dash=""):
+    """_reference_polyline less each point whose pixel y equals both its neighbours' bit
+    for bit and whose pixel x lies between theirs, ascending."""
+    pts = [(frame.px(x), frame.py(y)) for x, y in zip(xs, ys)]
+    bits = [struct.pack("<d", y) for _, y in pts]
+    return _polyline_of([p for i, p in enumerate(pts)
+                         if not (0 < i < len(pts) - 1 and bits[i - 1] == bits[i] == bits[i + 1]
+                                 and pts[i - 1][0] <= p[0] <= pts[i + 1][0])], dash)
+
+
+def _polyline_of(pts, dash):
+    text = " ".join(f"{x:.2f},{y:.2f}" for x, y in pts)
     dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
-    return f'<polyline points="{pts}" fill="none" stroke="black" stroke-width="1.5"{dash_attr}/>'
+    return f'<polyline points="{text}" fill="none" stroke="black" stroke-width="1.5"{dash_attr}/>'
+
+
+def _polyline_points(svg):
+    """The (x, y) texts of each polyline of an SVG document, which must parse as XML."""
+    root = ElementTree.fromstring(svg)
+    assert root.tag == "{http://www.w3.org/2000/svg}svg"
+    return [[tuple(p.split(",")) for p in line.get("points").split(" ")]
+            for line in root.iter("{http://www.w3.org/2000/svg}polyline")]
+
+
+def _assert_only_run_points_dropped(svg, every_point_svg):
+    """Each polyline of svg is the one of every_point_svg less some points, the first and
+    last kept; each dropped point's y text equals those of the kept points around it, and
+    its x lies between theirs.  Returns the number of points kept."""
+    kept_total = 0
+    for kept, full in zip(_polyline_points(svg), _polyline_points(every_point_svg), strict=True):
+        assert kept[0] == full[0] and kept[-1] == full[-1]
+        j = 0
+        for x, y in full:
+            if j < len(kept) and (x, y) == kept[j]:
+                j += 1
+                continue
+            (x0, y0), (x1, y1) = kept[j - 1], kept[j]
+            assert y0 == y == y1 and float(x0) <= float(x) <= float(x1), (x, y)
+        assert j == len(kept)
+        kept_total += len(kept)
+    return kept_total
 
 
 def _awkward_state():
@@ -131,25 +176,6 @@ def test_snapshot_csv_of_runs_equals_per_value_reference(tmp_path_factory, rho, 
         x_text = write_snapshot_csv(str(path), state, x_text)
         want = _reference_csv(["x", "rho", "u"], zip(mesh.nodes, state.rho, state.u))
         assert path.read_text(encoding="utf-8") == want
-
-
-# every float, with the awkward ones drawn often: both zeros, subnormals, infinities,
-# NaN and magnitudes near 1e±300
-_ANY_FLOATS = st.lists(st.one_of(
-    st.sampled_from([0.0, -0.0, 5e-324, -2.5e-320, math.inf, -math.inf, math.nan, 1e300,
-                     -1e-300, 1.7976931348623157e308, 2.2250738585072014e-308]),
-    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)), max_size=60)
-
-
-@settings(max_examples=200, deadline=None)
-@given(_ANY_FLOATS)
-@example([])
-def test_pixel_x_text_equals_the_per_value_format(values):
-    # the pixel-x text is one % format of the whole column, split on its newlines
-    frame = output._Frame(-0.0, 0.0, 1.0, 1.0, (0.0, 1.0), (0.0, 1.0))    # px(x) is x
-    px = frame.px(np.array(values, dtype=float)).tolist()
-    assert [repr(v) for v in px] == [repr(v) for v in values]
-    assert frame.x_text(values) == list(map("{:.2f},".format, px))
 
 
 @pytest.mark.parametrize("length", [8, 10, 0])
@@ -258,6 +284,7 @@ def test_profile_svg_equals_per_point_polyline(monkeypatch):
     state = MeshState(mesh, 1.0 + 0.3 * np.sin(7.0 * x) + 1e-3 * rng.uniform(size=300),
                       -0.2 * np.cos(3.0 * x))
     got = profile_svg(state, title="t=0.1")
+    assert [len(line) for line in _polyline_points(got)] == [300, 300]
     monkeypatch.setattr(output._Frame, "polyline", _reference_polyline)
     assert got == profile_svg(state, title="t=0.1")
     # the pixel values themselves, not only their 2-decimal text
@@ -274,6 +301,7 @@ def test_region_map_svg_equals_per_point_polyline(monkeypatch):
     region = sweep_region(setup, MODEL, cfg, alphas=[0.3, 0.5, 0.9], betas=[0.5, 1.2],
                           beta_mode="relative", record_every=5)
     got = region_map_svg(region, title="demo")
+    assert [len(line) for line in _polyline_points(got)] == [3, 3, 3]
     monkeypatch.setattr(output._Frame, "polyline", _reference_polyline)
     assert got == region_map_svg(region, title="demo")
 
@@ -291,5 +319,48 @@ def test_profile_svg_of_runs_equals_per_point_polyline(rho, u):
     state = MeshState(mesh, rho, np.resize(u, n))
     got = profile_svg(state, title="t=0.1")
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(output._Frame, "polyline", _reference_polyline)
+        patch.setattr(output._Frame, "polyline", _run_ends_polyline)
         assert got == profile_svg(state, title="t=0.1")
+        patch.setattr(output._Frame, "polyline", _reference_polyline)
+        _assert_only_run_points_dropped(got, profile_svg(state, title="t=0.1"))
+
+
+@pytest.mark.parametrize("xs, kept", [
+    ([0.0, 1.0, 2.0, 3.0, 4.0, 5.0], "0.00,1.00 5.00,1.00"),
+    ([0.0, 1.0, 1.0, 1.0, 2.0, 2.0], "0.00,1.00 2.00,1.00"),            # repeated x ascends
+    ([0.0, 2.0, 1.0, 3.0, 4.0, 5.0], "0.00,1.00 2.00,1.00 1.00,1.00 5.00,1.00"),   # x turns back
+    ([5.0, 4.0, 3.0, 2.0, 1.0, 0.0], "5.00,1.00 4.00,1.00 3.00,1.00 2.00,1.00 1.00,1.00 0.00,1.00"),
+    ([0.0, 1.0, math.nan, 3.0, 4.0, 5.0], "0.00,1.00 1.00,1.00 nan,1.00 3.00,1.00 5.00,1.00"),
+], ids=["ascending", "repeated", "turning", "descending", "nan"])
+def test_polyline_drops_a_point_only_between_ascending_neighbours(xs, kept):
+    frame = output._Frame(-0.0, 0.0, 1.0, 1.0, (0.0, 1.0), (0.0, 1.0))    # px(x) is x
+    ys = np.zeros(len(xs))                      # py(0.0) is 1.0
+    assert frame.polyline(xs, ys) == _run_ends_polyline(frame, xs, ys) == _polyline_of(
+        [tuple(map(float, p.split(","))) for p in kept.split(" ")], "")
+
+
+def test_solve_large_profile_keeps_the_ends_of_its_runs():
+    # the benchmark's solve-large state: two end runs over most of its 25 000 nodes
+    cfg = cli.apply_overrides(cli.load_config(str(pathlib.Path(__file__).parents[1] / "configs"
+                                                  / "riemann_demo.json")),
+                              ["scheme.kind=standard", "mesh.n=25000", "mesh.h=8e-5",
+                               "experiment.t_end=0.02"])
+    setup = cli.build_setup(cfg)
+    traj = run_simulation(riemann_initial(setup, cli.build_mesh(cfg)), cli.build_model(cfg),
+                          cli.build_scheme(cfg), setup.t_end, record_every=200)
+    state = traj.snapshots[-1][1]
+    got = profile_svg(state, title="t = 0.02")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(output._Frame, "polyline", _reference_polyline)
+        every_point = profile_svg(state, title="t = 0.02")
+    assert _assert_only_run_points_dropped(got, every_point) < 2_000
+    assert len(got.encode()) <= 30_000 < len(every_point.encode())
+
+
+def test_profile_svg_of_awkward_values_parses_as_xml():
+    # both zeros, subnormals, ±inf, NaN and 1.8e308 map to well-formed, if meaningless,
+    # pixels, with no warning; NaN pixel ys of one bit pattern make a run, as equal finite ones do
+    lines = _polyline_points(profile_svg(_awkward_state(), title="t = 0"))
+    assert [(line[0][0], line[-1][0]) for line in lines] == [("70.00", "590.00")] * 2
+    assert [[y for _, y in line] for line in lines] == [["280.00", "280.00", "nan", "280.00", "280.00"],
+                                                        ["nan", "nan"]]
